@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak ci bench bench-smoke bench-parallel bench-recommend bench-approx bench-compare bench-shard bench-rematch snapshot clean
+.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak soak-repeat ci bench bench-smoke bench-parallel bench-recommend bench-approx bench-compare bench-shard bench-rematch snapshot clean
 
 all: build
 
@@ -62,6 +62,19 @@ audit:
 # trace/span sequences across two same-seed runs.
 journey-soak:
 	$(GO) test -race -count=1 -run 'TestJourneySoak' ./cmd/cooperd/
+
+# soak-repeat measures the flake rate of the same-seed determinism soaks
+# instead of assuming it from single passes: the journey soak, the
+# flight-recorder event soak and the netproto chaos soak each run 100
+# times, first without and then under the race detector. Any divergence
+# between two same-seed runs fails the target.
+SOAKS_COOPERD = TestJourneySoak|TestEventLogCompleteAndDeterministic
+SOAKS_NETPROTO = TestChaosSoakCompletesAndIsDeterministic
+soak-repeat:
+	$(GO) test -count=100 -timeout=2h -run '$(SOAKS_COOPERD)' ./cmd/cooperd/
+	$(GO) test -count=100 -timeout=2h -run '$(SOAKS_NETPROTO)' ./internal/netproto/
+	$(GO) test -race -count=100 -timeout=2h -run '$(SOAKS_COOPERD)' ./cmd/cooperd/
+	$(GO) test -race -count=100 -timeout=2h -run '$(SOAKS_NETPROTO)' ./internal/netproto/
 
 # ci is the full verification gate: static checks, a clean build, the
 # test suite under the race detector (plus a shuffled-order pass), the

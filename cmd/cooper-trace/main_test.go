@@ -211,16 +211,20 @@ func TestEndToEndDeterministic(t *testing.T) {
 		srvErr := make(chan error, 1)
 		go func() { srvErr <- srv.Serve("127.0.0.1:0", func(a string) { addrCh <- a }) }()
 		addr := <-addrCh
+		// Dial one agent after the other: wire AgentIDs follow
+		// registration order, so two concurrent dials would hand agent 0
+		// to whichever job the scheduler let register first, and the two
+		// runs would not be given the same input. The epochs then run
+		// concurrently.
 		var wg sync.WaitGroup
 		for _, job := range []string{"correlation", "dedup"} {
+			c, err := netproto.Dial(addr, job)
+			if err != nil {
+				t.Fatalf("dial %s: %v", job, err)
+			}
 			wg.Add(1)
-			go func(job string) {
+			go func(job string, c *netproto.Client) {
 				defer wg.Done()
-				c, err := netproto.Dial(addr, job)
-				if err != nil {
-					t.Errorf("dial %s: %v", job, err)
-					return
-				}
 				defer c.Close()
 				for e := 0; e < 2; e++ {
 					if _, _, err := c.RunEpoch(); err != nil {
@@ -228,7 +232,7 @@ func TestEndToEndDeterministic(t *testing.T) {
 						return
 					}
 				}
-			}(job)
+			}(job, c)
 		}
 		wg.Wait()
 		if err := <-srvErr; err != nil {

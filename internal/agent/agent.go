@@ -5,16 +5,19 @@
 // recommends strategic action: participate in the shared system, or break
 // away with mutually preferring partners.
 //
-// The action recommender follows the paper's message-exchange protocol
-// (§IV-B): an agent sends a message to every agent it prefers over its
-// assigned co-runner; receiving such a message from an agent it also
-// prefers reveals a blocking pair.
+// The action recommender computes the outcome of the paper's
+// message-exchange protocol (§IV-B) in one pass: in the protocol an agent
+// messages every agent it prefers over its assigned co-runner, and
+// receiving such a message from an agent it also prefers reveals a
+// blocking pair. Exchange finds exactly those mutual preferences
+// directly, without the messages.
 package agent
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"cooper/internal/matching"
 )
@@ -43,7 +46,7 @@ func (a Action) String() string {
 	return fmt.Sprintf("Action(%d)", int(a))
 }
 
-// Agent represents one user and her job in the colocation game.
+// Agent represents one user and their job in the colocation game.
 type Agent struct {
 	// ID is the agent's index in the population.
 	ID int
@@ -52,18 +55,11 @@ type Agent struct {
 	// Penalties is the agent's predicted disutility with every candidate
 	// co-runner (its row of the completed penalty matrix).
 	Penalties []float64
-
-	inbox chan int
 }
 
 // New returns an agent with the given predicted penalty row.
 func New(id int, jobName string, penalties []float64) *Agent {
-	return &Agent{
-		ID:        id,
-		JobName:   jobName,
-		Penalties: penalties,
-		inbox:     make(chan int, len(penalties)),
-	}
+	return &Agent{ID: id, JobName: jobName, Penalties: penalties}
 }
 
 // PreferenceList returns candidate co-runners ordered best-first (lowest
@@ -75,33 +71,21 @@ func (a *Agent) PreferenceList() []int {
 			list = append(list, j)
 		}
 	}
-	sort.SliceStable(list, func(x, y int) bool {
-		if a.Penalties[list[x]] != a.Penalties[list[y]] {
-			return a.Penalties[list[x]] < a.Penalties[list[y]]
-		}
-		return list[x] < list[y]
-	})
+	slices.SortFunc(list, func(x, y int) int { return comparePenalty(a.Penalties[x], a.Penalties[y], x, y) })
 	return list
 }
 
-// preferredOver returns the agents this agent strictly prefers (by more
-// than alpha) over its assigned partner. An unmatched agent runs alone
-// with zero penalty, so it prefers nobody.
-func (a *Agent) preferredOver(partner int, alpha float64) []int {
-	current := 0.0
-	if partner != matching.Unmatched {
-		current = a.Penalties[partner]
-	}
-	var better []int
-	for j := range a.Penalties {
-		if j == a.ID || j == partner {
-			continue
+// comparePenalty orders candidates x and y by penalty, lowest first, with
+// the index breaking ties (so 0 and -0 tie). It is a total order, so
+// sorting with it needs no stability to be deterministic.
+func comparePenalty(px, py float64, x, y int) int {
+	if px != py {
+		if px < py {
+			return -1
 		}
-		if current-a.Penalties[j] > alpha {
-			better = append(better, j)
-		}
+		return 1
 	}
-	return better
+	return cmp.Compare(x, y)
 }
 
 // Recommendation is the action recommender's output for one agent.
@@ -116,12 +100,31 @@ type Recommendation struct {
 	ExpectedGain float64
 }
 
-// Exchange runs the message-exchange protocol over a population of agents
-// and their assigned matching: each agent messages everyone it prefers
-// over its co-runner (by more than alpha); agents then cross incoming
-// messages with their own preferences to identify blocking partners. The
-// exchange runs concurrently, one goroutine per agent, as in the paper's
-// distributed Java implementation.
+// NewRecommendation builds agent id's recommendation from its blocking
+// partners, given in any order: with none it participates; otherwise it
+// breaks away, listing the partners best-first by pen (its predicted
+// penalty with each, index tie-breaks) and expecting to gain current —
+// its penalty under the assignment — minus its best partner's penalty.
+// blocking is sorted in place and kept by the recommendation.
+func NewRecommendation(id int, current float64, blocking []int, pen func(j int) float64) Recommendation {
+	rec := Recommendation{AgentID: id, Action: Participate}
+	if len(blocking) == 0 {
+		return rec
+	}
+	slices.SortFunc(blocking, func(x, y int) int { return comparePenalty(pen(x), pen(y), x, y) })
+	rec.Action = BreakAway
+	rec.BlockingPartners = blocking
+	rec.ExpectedGain = current - pen(blocking[0])
+	return rec
+}
+
+// Exchange computes the outcome of the message-exchange protocol over a
+// population of agents and their assigned matching, in one pass. In the
+// protocol each agent messages everyone it prefers over its co-runner by
+// more than alpha, then crosses incoming messages with its own
+// preferences; so agent i's blocking partners are every j other than i
+// and its co-runner with cur(i)-P_i[j] > alpha and cur(j)-P_j[i] > alpha,
+// where cur is an agent's penalty under the matching (zero when solo).
 func Exchange(agents []*Agent, match matching.Matching, alpha float64) ([]Recommendation, error) {
 	n := len(agents)
 	if len(match) != n {
@@ -135,67 +138,26 @@ func Exchange(agents []*Agent, match matching.Matching, alpha float64) ([]Recomm
 			return nil, fmt.Errorf("agent: agent %d has %d penalties, want %d",
 				i, len(a.Penalties), n)
 		}
-		// Fresh inbox sized for the worst case of messages from everyone.
-		a.inbox = make(chan int, n)
 	}
-
-	// Phase 1: every agent sends its preference messages concurrently.
-	var wg sync.WaitGroup
-	for _, a := range agents {
-		wg.Add(1)
-		go func(a *Agent) {
-			defer wg.Done()
-			for _, j := range a.preferredOver(match[a.ID], alpha) {
-				agents[j].inbox <- a.ID
-			}
-		}(a)
+	cur := make([]float64, n)
+	for i, a := range agents {
+		if p := match[i]; p != matching.Unmatched {
+			cur[i] = a.Penalties[p]
+		}
 	}
-	wg.Wait()
-	for _, a := range agents {
-		close(a.inbox)
-	}
-
-	// Phase 2: every agent crosses received messages with its own
-	// preferences.
 	recs := make([]Recommendation, n)
-	for _, a := range agents {
-		wg.Add(1)
-		go func(a *Agent) {
-			defer wg.Done()
-			prefer := make(map[int]bool)
-			for _, j := range a.preferredOver(match[a.ID], alpha) {
-				prefer[j] = true
+	for i, a := range agents {
+		var blocking []int
+		for j, pij := range a.Penalties {
+			if !(cur[i]-pij > alpha) || j == i || j == match[i] {
+				continue
 			}
-			var blocking []int
-			for sender := range a.inbox {
-				if prefer[sender] {
-					blocking = append(blocking, sender)
-				}
+			if cur[j]-agents[j].Penalties[i] > alpha {
+				blocking = append(blocking, j)
 			}
-			// Ties on penalty (agents running the same job) break by ID:
-			// inbox arrival order is scheduling-dependent, and the
-			// pipeline guarantees bit-identical reports across runs.
-			sort.Slice(blocking, func(x, y int) bool {
-				px, py := a.Penalties[blocking[x]], a.Penalties[blocking[y]]
-				if px != py {
-					return px < py
-				}
-				return blocking[x] < blocking[y]
-			})
-			rec := Recommendation{AgentID: a.ID, Action: Participate}
-			if len(blocking) > 0 {
-				current := 0.0
-				if match[a.ID] != matching.Unmatched {
-					current = a.Penalties[match[a.ID]]
-				}
-				rec.Action = BreakAway
-				rec.BlockingPartners = blocking
-				rec.ExpectedGain = current - a.Penalties[blocking[0]]
-			}
-			recs[a.ID] = rec
-		}(a)
+		}
+		recs[i] = NewRecommendation(i, cur[i], blocking, func(j int) float64 { return a.Penalties[j] })
 	}
-	wg.Wait()
 	return recs, nil
 }
 

@@ -1,10 +1,19 @@
 package agent
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
+	"cooper/internal/arch"
 	"cooper/internal/matching"
+	"cooper/internal/policy"
+	"cooper/internal/profiler"
+	"cooper/internal/stats"
+	"cooper/internal/workload"
 )
 
 func buildAgents(d [][]float64) []*Agent {
@@ -183,5 +192,154 @@ func TestActionString(t *testing.T) {
 	}
 	if Action(9).String() == "" {
 		t.Error("unknown action should still format")
+	}
+}
+
+// exchangeReference runs the message-exchange protocol literally: one
+// goroutine per agent messages every agent it prefers over its co-runner
+// through per-agent channels, then each agent crosses its inbox with its
+// own preferences.
+func exchangeReference(agents []*Agent, match matching.Matching, alpha float64) []Recommendation {
+	n := len(agents)
+	preferredOver := func(a *Agent) []int {
+		current := 0.0
+		if match[a.ID] != matching.Unmatched {
+			current = a.Penalties[match[a.ID]]
+		}
+		var better []int
+		for j := range a.Penalties {
+			if j != a.ID && j != match[a.ID] && current-a.Penalties[j] > alpha {
+				better = append(better, j)
+			}
+		}
+		return better
+	}
+	inbox := make([]chan int, n)
+	for i := range inbox {
+		inbox[i] = make(chan int, n)
+	}
+	var wg sync.WaitGroup
+	for _, a := range agents {
+		wg.Add(1)
+		go func(a *Agent) {
+			defer wg.Done()
+			for _, j := range preferredOver(a) {
+				inbox[j] <- a.ID
+			}
+		}(a)
+	}
+	wg.Wait()
+	for _, ch := range inbox {
+		close(ch)
+	}
+	recs := make([]Recommendation, n)
+	for _, a := range agents {
+		wg.Add(1)
+		go func(a *Agent) {
+			defer wg.Done()
+			prefer := make(map[int]bool)
+			for _, j := range preferredOver(a) {
+				prefer[j] = true
+			}
+			var blocking []int
+			for sender := range inbox[a.ID] {
+				if prefer[sender] {
+					blocking = append(blocking, sender)
+				}
+			}
+			sort.Slice(blocking, func(x, y int) bool {
+				px, py := a.Penalties[blocking[x]], a.Penalties[blocking[y]]
+				if px != py {
+					return px < py
+				}
+				return blocking[x] < blocking[y]
+			})
+			rec := Recommendation{AgentID: a.ID, Action: Participate}
+			if len(blocking) > 0 {
+				current := 0.0
+				if match[a.ID] != matching.Unmatched {
+					current = a.Penalties[match[a.ID]]
+				}
+				rec.Action = BreakAway
+				rec.BlockingPartners = blocking
+				rec.ExpectedGain = current - a.Penalties[blocking[0]]
+			}
+			recs[a.ID] = rec
+		}(a)
+	}
+	wg.Wait()
+	return recs
+}
+
+func TestExchangeMatchesMessageProtocol(t *testing.T) {
+	// Heavy ties (penalties drawn from five levels, signed zeros among
+	// them), odd populations, and a share of agents left unmatched.
+	levels := []float64{0, math.Copysign(0, -1), 0.05, 0.1, 0.3}
+	r := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + r.Intn(40)
+		d := make([][]float64, n)
+		for i := range d {
+			d[i] = make([]float64, n)
+			for j := range d[i] {
+				if i != j {
+					d[i][j] = levels[r.Intn(len(levels))]
+				}
+			}
+		}
+		match := make(matching.Matching, n)
+		for i := range match {
+			match[i] = matching.Unmatched
+		}
+		perm := r.Perm(n)
+		for k := 0; k+1 < n; k += 2 {
+			if r.Intn(4) > 0 {
+				match[perm[k]], match[perm[k+1]] = perm[k+1], perm[k]
+			}
+		}
+		for _, alpha := range []float64{0, 0.05} {
+			got, err := Exchange(buildAgents(d), match, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := exchangeReference(buildAgents(d), match, alpha)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d) alpha %v: one-pass exchange diverges from the protocol\n got: %+v\nwant: %+v",
+					trial, n, alpha, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkExchange times the exchange over a 2000-agent population with
+// job-structured predicted rows (every agent running a job shares that
+// job's row, as ExpandToAgents builds them) and the SMR matching the
+// epoch pipeline would assess.
+func BenchmarkExchange(b *testing.B) {
+	cmp := arch.DefaultCMP()
+	catalog, err := workload.Catalog(cmp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	pop := workload.Sample(2000, catalog, stats.Uniform{}, r)
+	d, err := profiler.ExpandToAgents(profiler.DensePenalties(cmp, catalog), catalog, pop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	match, err := policy.StableMarriageRandom{}.Assign(d, policy.Context{Rand: r})
+	if err != nil {
+		b.Fatal(err)
+	}
+	agents := make([]*Agent, len(d))
+	for i := range agents {
+		agents[i] = New(i, pop.Jobs[i].Name, d[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		if _, err := Exchange(agents, match, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,8 +139,9 @@ type Plan struct {
 	metrics *telemetry.Registry
 	events  *telemetry.EventRing
 
-	mu  sync.Mutex
-	inj map[int64]*Injector
+	mu   sync.Mutex
+	inj  map[int64]*Injector
+	held map[int64]*Injector // injectors holding their events (WrapHeld)
 }
 
 // NewPlan builds a Plan. metrics may be nil (faults go uncounted); clock
@@ -157,7 +159,8 @@ func NewPlan(cfg Config, metrics *telemetry.Registry, clock Clock) *Plan {
 	for _, name := range CounterNames() {
 		metrics.Counter(name)
 	}
-	return &Plan{cfg: cfg, clock: clock, metrics: metrics, inj: make(map[int64]*Injector)}
+	return &Plan{cfg: cfg, clock: clock, metrics: metrics,
+		inj: make(map[int64]*Injector), held: make(map[int64]*Injector)}
 }
 
 // SetEvents attaches a flight-recorder ring: every injected fault is
@@ -218,6 +221,57 @@ func (p *Plan) Wrap(key int64, c net.Conn) net.Conn {
 	return p.Injector(key).Wrap(c)
 }
 
+// WrapHeld is Wrap with the injector's fault events held back: counters
+// count at once, but the events are kept, in draw order, until Release
+// covers key. A server wraps each accepted conn this way, so that the
+// events a registration draws on its own goroutine land in the flight
+// recorder where the goroutine admitting conns puts them, not wherever
+// the scheduler happened to run the registration.
+func (p *Plan) WrapHeld(key int64, c net.Conn) net.Conn {
+	in := p.Injector(key)
+	if in == nil {
+		return c
+	}
+	in.mu.Lock()
+	in.holding = true
+	in.mu.Unlock()
+	p.mu.Lock()
+	p.held[key] = in
+	p.mu.Unlock()
+	return in.Wrap(c)
+}
+
+// Release records the held events of every injector whose key is at
+// most through — injector by injector in key order, each in draw order —
+// and ends their holds, so their later events record at once.
+func (p *Plan) Release(through int64) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	var keys []int64
+	for k := range p.held {
+		if k <= through {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	ins := make([]*Injector, len(keys))
+	for a, k := range keys {
+		ins[a] = p.held[k]
+		delete(p.held, k)
+	}
+	p.mu.Unlock()
+	for _, in := range ins {
+		in.mu.Lock()
+		for _, e := range in.held {
+			in.events.Record(e)
+		}
+		in.held, in.holding = nil, false
+		in.mu.Unlock()
+	}
+}
+
 // CrashesDue returns the crash events scheduled for the given epoch.
 func (p *Plan) CrashesDue(epoch int) []Crash {
 	if p == nil {
@@ -266,10 +320,12 @@ type Injector struct {
 	clock   Clock
 	metrics *telemetry.Registry
 
-	mu     sync.Mutex
-	events *telemetry.EventRing // guarded by mu (SetEvents may retrofit it)
-	rng    *rand.Rand
-	draws  int64
+	mu      sync.Mutex
+	events  *telemetry.EventRing // guarded by mu (SetEvents may retrofit it)
+	rng     *rand.Rand
+	draws   int64
+	holding bool              // guarded by mu: events go to held until the plan's Release
+	held    []telemetry.Event // guarded by mu
 }
 
 func (in *Injector) draw() float64 {
@@ -294,11 +350,15 @@ func (in *Injector) Draws() int64 {
 
 func (in *Injector) count(kind string) {
 	in.metrics.Counter("fault.injected." + kind).Inc()
+	e := telemetry.Event{Type: telemetry.EventFaultInjected,
+		Epoch: -1, Agent: int(in.key), Partner: -1, Kind: kind}
 	in.mu.Lock()
-	ev := in.events
-	in.mu.Unlock()
-	ev.Record(telemetry.Event{Type: telemetry.EventFaultInjected,
-		Epoch: -1, Agent: int(in.key), Partner: -1, Kind: kind})
+	defer in.mu.Unlock()
+	if in.holding {
+		in.held = append(in.held, e)
+		return
+	}
+	in.events.Record(e)
 }
 
 // Float64 exposes the injector's RNG stream for auxiliary randomness

@@ -3,6 +3,7 @@ package faults
 import (
 	"bufio"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -328,4 +329,54 @@ func TestInjectionEvents(t *testing.T) {
 	if got := reg.Snapshot().Counter("fault.injected.drop"); got != 1 {
 		t.Errorf("fault.injected.drop = %d, want 1", got)
 	}
+}
+
+func TestHeldEventsRecordOnReleaseInKeyOrder(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p := NewPlan(Config{Seed: 3, DropProb: 1}, reg, nil)
+	ring := telemetry.NewEventRing(16)
+	p.SetEvents(ring)
+	write := func(c net.Conn) {
+		t.Helper()
+		if _, err := c.Write([]byte("gone\n")); err != nil {
+			t.Fatalf("dropped write: %v", err)
+		}
+	}
+	conns := map[int64]net.Conn{}
+	for _, key := range []int64{5, 2, 9} {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		conns[key] = p.WrapHeld(key, a)
+	}
+	write(conns[9])
+	write(conns[5])
+	write(conns[2])
+	write(conns[5])
+	if got := reg.Snapshot().Counter("fault.injected.drop"); got != 4 {
+		t.Errorf("fault.injected.drop = %d, want 4: holding must not delay the counters", got)
+	}
+	if n := len(ring.Events()); n != 0 {
+		t.Fatalf("%d events recorded before any release", n)
+	}
+
+	p.Release(5) // keys 2 and 5, in key order; 9 stays held
+	write(conns[2])
+	p.Release(math.MaxInt64)
+	var got []int
+	for _, e := range ring.Events() {
+		got = append(got, e.Agent)
+	}
+	if want := []int{2, 5, 5, 2, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("event agents = %v, want %v", got, want)
+	}
+
+	var nilPlan *Plan
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if nilPlan.WrapHeld(1, a) != a {
+		t.Error("nil plan wrapped the conn")
+	}
+	nilPlan.Release(1)
 }

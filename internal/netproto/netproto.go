@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -300,7 +301,8 @@ type session struct {
 	enc  *json.Encoder
 	dec  *json.Decoder
 	job  workload.Job
-	id   int // wire AgentID: stable for the connection's lifetime
+	id   int   // wire AgentID: stable for the connection's lifetime
+	key  int64 // accept index, keying the conn's server-side fault injector
 	// queuedAt is when the registration entered the admission queue,
 	// stamped just before the session is handed to the Serve goroutine;
 	// admission observes the wait in the net.admit_wait histogram.
@@ -309,12 +311,12 @@ type session struct {
 	// writeMu serializes all writes to the conn. A session is queued for
 	// admission before its "registered" reply goes out (so an agent that
 	// has seen the reply is guaranteed visible to the next admission),
-	// which means the Serve goroutine can start pushing assignments while
-	// the registration goroutine is still around — without the mutex the
-	// two would race on the encoder, and the assignment could overtake
-	// the reply on the wire. needsReply marks the queued-but-unreplied
-	// window; whichever goroutine writes first flushes the reply, so it
-	// always precedes the session's first assignment.
+	// which means the Serve goroutine can admit the session while the
+	// registration goroutine is still around — without the mutex the two
+	// would race on the encoder. needsReply marks the queued-but-unreplied
+	// window; whichever goroutine writes first flushes the reply, and
+	// admission always does, so it precedes the session's first
+	// assignment.
 	writeMu    sync.Mutex
 	needsReply bool
 }
@@ -480,6 +482,9 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	// listener closed before Epoch agents registered) also releases every
 	// conn already admitted or still queued.
 	defer func() {
+		// Conns that failed to register after the last admission still
+		// hold their fault events.
+		s.Faults.Release(math.MaxInt64)
 		for _, sess := range s.sessions {
 			sess.conn.Close()
 		}
@@ -561,16 +566,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return
 		}
 		s.Metrics.Counter("net.connections").Inc()
-		if s.Faults != nil {
-			conn = s.Faults.Wrap(s.connSeq.Add(1)-1, conn)
-		}
+		key := s.connSeq.Add(1) - 1
+		conn = s.Faults.WrapHeld(key, conn)
 		if !s.trackPending(conn) {
 			continue
 		}
 		wg.Add(1)
 		go func(conn net.Conn) {
 			defer wg.Done()
-			s.register(conn)
+			s.register(conn, key)
 		}(conn)
 	}
 }
@@ -580,17 +584,26 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // agent that has seen its reply is guaranteed to be visible to the next
 // epoch's admission. The reply itself is flushed under the session's
 // write mutex — by this goroutine, or by the Serve goroutine if it
-// admits the session and pushes its first assignment first (see send).
-func (s *Server) register(conn net.Conn) {
+// admits the session first (see admit).
+func (s *Server) register(conn net.Conn, key int64) {
 	defer s.untrackPending(conn)
 	sess := &session{
 		conn: conn,
+		key:  key,
 		enc:  json.NewEncoder(conn),
 		dec:  json.NewDecoder(bufio.NewReader(conn)),
 	}
 	reg, err := s.recv(sess, time.Time{})
 	if err != nil || reg.Type != "register" {
-		_ = s.send(sess, Message{Type: "error", Error: "expected register", PartnerID: -1})
+		// A peer that sent something other than a registration is told
+		// so. A conn whose read failed gets no reply: it is reset, closed
+		// or silent, and the write's fault draw could otherwise land after
+		// the next admission released this conn's held fault events.
+		var syntax *json.SyntaxError
+		var typ *json.UnmarshalTypeError
+		if err == nil || errors.As(err, &syntax) || errors.As(err, &typ) {
+			_ = s.send(sess, Message{Type: "error", Error: "expected register", PartnerID: -1})
+		}
 		conn.Close()
 		return
 	}
@@ -622,7 +635,22 @@ func (s *Server) register(conn net.Conn) {
 // pointing at the agent_queued event it came from, so "what's behind the
 // p99?" resolves to a concrete agent, event Seq, and trace. Runs on the
 // Serve goroutine only.
+//
+// Admission first settles the registration: it flushes the "registered"
+// reply if the registration goroutine has not, then releases the fault
+// events the conn drew while registering, together with those of every
+// earlier conn (one that failed to register has no admission of its
+// own). Connection-scoped fault events thus enter the flight recorder
+// from this goroutine, in accept order, ahead of the admission they
+// belong to — not wherever the registration goroutines happened to run.
 func (s *Server) admit(sess *session, epoch int) {
+	sess.writeMu.Lock()
+	if err := s.flushReplyLocked(sess); err != nil {
+		// Reaped the first time the epoch loop touches it.
+		sess.conn.Close()
+	}
+	sess.writeMu.Unlock()
+	s.Faults.Release(sess.key)
 	s.sessions = append(s.sessions, sess)
 	queuedSeq := s.record(telemetry.Event{Type: telemetry.EventAgentQueued,
 		Epoch: epoch, Agent: sess.id, Partner: -1, Job: sess.job.Name})

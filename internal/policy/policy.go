@@ -10,8 +10,11 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cooper/internal/matching"
@@ -315,26 +318,8 @@ func marriageBetween(d [][]float64, proposers, receivers []int, metrics *telemet
 	if k == 0 {
 		return match, nil
 	}
-	prefs := func(agents, others []int) [][]int {
-		lists := make([][]int, len(agents))
-		for a, i := range agents {
-			list := make([]int, len(others))
-			for b := range others {
-				list[b] = b
-			}
-			sort.SliceStable(list, func(x, y int) bool {
-				jx, jy := others[list[x]], others[list[y]]
-				if d[i][jx] != d[i][jy] {
-					return d[i][jx] < d[i][jy]
-				}
-				return jx < jy
-			})
-			lists[a] = list
-		}
-		return lists
-	}
 	proposerMatch, proposals, err := matching.StableMarriageProposals(
-		prefs(proposers, receivers), prefs(receivers, proposers))
+		preferenceLists(d, proposers, receivers), preferenceLists(d, receivers, proposers))
 	if err != nil {
 		return nil, err
 	}
@@ -347,4 +332,63 @@ func marriageBetween(d [][]float64, proposers, receivers []int, metrics *telemet
 		match[i], match[j] = j, i
 	}
 	return match, nil
+}
+
+// preferenceLists returns each agent's preference list over others: the
+// positions in others ordered best-first by the agent's penalty, ties
+// broken by the other agent's index. A list depends only on the agent's
+// penalties over others, and agents running the same job share a penalty
+// row, so each distinct key vector is argsorted once and its list shared
+// by every agent that has it. The memo is keyed by a hash of the keys'
+// bits; the hash only finds candidates, and a stored list is reused only
+// after an exact bitwise comparison of the keys.
+func preferenceLists(d [][]float64, agents, others []int) [][]int {
+	type entry struct {
+		keys []float64
+		list []int
+	}
+	memo := make(map[uint64][]entry)
+	keys := make([]float64, len(others))
+	lists := make([][]int, len(agents))
+	for a, i := range agents {
+		h := uint64(14695981039346656037) // FNV-1a over the keys' bit patterns
+		for b, j := range others {
+			keys[b] = d[i][j]
+			h = (h ^ math.Float64bits(keys[b])) * 1099511628211
+		}
+		for _, e := range memo[h] {
+			if sameBits(e.keys, keys) {
+				lists[a] = e.list
+				break
+			}
+		}
+		if lists[a] == nil {
+			list := make([]int, len(others))
+			for b := range list {
+				list[b] = b
+			}
+			slices.SortFunc(list, func(x, y int) int {
+				if keys[x] != keys[y] {
+					if keys[x] < keys[y] {
+						return -1
+					}
+					return 1
+				}
+				return cmp.Compare(others[x], others[y])
+			})
+			memo[h] = append(memo[h], entry{slices.Clone(keys), list})
+			lists[a] = list
+		}
+	}
+	return lists
+}
+
+// sameBits reports whether a and b hold bit-identical values.
+func sameBits(a, b []float64) bool {
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,17 @@
 package policy
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"cooper/internal/arch"
 	"cooper/internal/matching"
+	"cooper/internal/profiler"
+	"cooper/internal/stats"
+	"cooper/internal/workload"
 )
 
 // testPenalties builds a synthetic penalty matrix where penalty grows with
@@ -330,6 +337,166 @@ func TestPoliciesOnTinyPopulations(t *testing.T) {
 			if len(match) != n {
 				t.Errorf("%s n=%d: match size %d", p.Name(), n, len(match))
 			}
+		}
+	}
+}
+
+// referencePreferenceLists builds preference lists without sharing rows:
+// every agent's list argsorted on its own with sort.SliceStable.
+func referencePreferenceLists(d [][]float64, agents, others []int) [][]int {
+	lists := make([][]int, len(agents))
+	for a, i := range agents {
+		list := make([]int, len(others))
+		for b := range others {
+			list[b] = b
+		}
+		sort.SliceStable(list, func(x, y int) bool {
+			jx, jy := others[list[x]], others[list[y]]
+			if d[i][jx] != d[i][jy] {
+				return d[i][jx] < d[i][jy]
+			}
+			return jx < jy
+		})
+		lists[a] = list
+	}
+	return lists
+}
+
+// referenceMarriage is marriageBetween over the reference lists.
+func referenceMarriage(t *testing.T, d [][]float64, proposers, receivers []int) matching.Matching {
+	t.Helper()
+	pm, _, err := matching.StableMarriageProposals(
+		referencePreferenceLists(d, proposers, receivers),
+		referencePreferenceLists(d, receivers, proposers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := newUnmatched(len(d))
+	for a, b := range pm {
+		if b != matching.Unmatched {
+			match[proposers[a]], match[receivers[b]] = receivers[b], proposers[a]
+		}
+	}
+	return match
+}
+
+// jobRowPenalties builds an n-agent matrix the way ExpandToAgents does —
+// every agent running a job copies that job's row — from a job matrix
+// whose penalties take a handful of levels, so ties abound. A few agents
+// then differ from their job's row in a single cell, and a few carry -0
+// where their job's row has 0.
+func jobRowPenalties(r *rand.Rand, n, jobs int) [][]float64 {
+	levels := []float64{0, 0.02, 0.05, 0.1}
+	jobD := make([][]float64, jobs)
+	for a := range jobD {
+		jobD[a] = make([]float64, jobs)
+		for b := range jobD[a] {
+			jobD[a][b] = levels[r.Intn(len(levels))]
+		}
+	}
+	jobOf := make([]int, n)
+	for i := range jobOf {
+		jobOf[i] = r.Intn(jobs)
+	}
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = jobD[jobOf[i]][jobOf[j]]
+			}
+		}
+	}
+	for k := 0; k < n/5; k++ {
+		i, j := r.Intn(n), r.Intn(n)
+		if i == j {
+			continue
+		}
+		if k%2 == 0 {
+			d[i][j] = levels[r.Intn(len(levels))] + 0.01
+		} else if d[i][j] == 0 {
+			d[i][j] = math.Copysign(0, -1)
+		}
+	}
+	return d
+}
+
+func TestMarriageMatchesStableSortReference(t *testing.T) {
+	r := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 30; trial++ {
+		n := 4 + r.Intn(60)
+		d := jobRowPenalties(r, n, 1+r.Intn(6))
+		bw := make([]float64, n)
+		for i := range bw {
+			bw[i] = float64(r.Intn(4)) // tied bandwidths too
+		}
+
+		seed := int64(trial)
+		got, err := StableMarriageRandom{}.Assign(d, Context{Rand: rand.New(rand.NewSource(seed))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := rand.New(rand.NewSource(seed)).Perm(n)
+		proposers, receivers := order[:n/2], order[n/2:2*(n/2)]
+		if want := referenceMarriage(t, d, proposers, receivers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): SMR = %v, stable-sort reference = %v", trial, n, got, want)
+		}
+		if got, want := preferenceLists(d, proposers, receivers), referencePreferenceLists(d, proposers, receivers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): memoized preference lists diverge from the reference", trial, n)
+		}
+
+		got, err = StableMarriagePartition{}.Assign(d, Context{BandwidthGBps: bw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byBW := sortedByBandwidth(bw)
+		memorySet, computeSet := byBW[n-n/2:], byBW[:n/2]
+		if want := referenceMarriage(t, d, memorySet, computeSet); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): SMP = %v, stable-sort reference = %v", trial, n, got, want)
+		}
+	}
+}
+
+func TestPreferenceListsSeparateSignedZeros(t *testing.T) {
+	// Rows equal under == but not bitwise: the memo must not share one
+	// list between them by accident of a hash, and both orders agree with
+	// the reference (0 and -0 tie, broken by index).
+	negZero := math.Copysign(0, -1)
+	d := [][]float64{
+		{0, 0, 0, 0.1, 0.1},
+		{0, 0, 0.2, negZero, 0.1},
+		{0, 0, 0, 0.1, 0.1},
+		{0, negZero, 0.2, 0, 0.1},
+		{0, 0, 0.2, 0, 0.1},
+	}
+	agents, others := []int{0, 1, 3, 4}, []int{0, 1, 2, 3, 4}
+	if got, want := preferenceLists(d, agents, others), referencePreferenceLists(d, agents, others); !reflect.DeepEqual(got, want) {
+		t.Fatalf("preference lists = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkMarriageBetweenJobRows times one SMR clear's stable marriage
+// over 2000 agents whose rows are job-structured, as ExpandToAgents
+// builds them from the predicted job matrix.
+func BenchmarkMarriageBetweenJobRows(b *testing.B) {
+	cmp := arch.DefaultCMP()
+	catalog, err := workload.Catalog(cmp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	pop := workload.Sample(2000, catalog, stats.Uniform{}, r)
+	d, err := profiler.ExpandToAgents(profiler.DensePenalties(cmp, catalog), catalog, pop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	order := r.Perm(len(d))
+	proposers, receivers := order[:len(d)/2], order[len(d)/2:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		if _, err := marriageBetween(d, proposers, receivers, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

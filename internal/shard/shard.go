@@ -385,10 +385,10 @@ func current(i int, match matching.Matching, pen func(i, j int) float64) float64
 	return pen(i, match[i])
 }
 
-// recommend is the shard-local equivalent of the agents' message-exchange
-// protocol: agent i's blocking partners are shard co-members that i
-// prefers over its current partner by more than alpha and that prefer i
-// back by more than alpha, ordered best-first with index tie-breaks.
+// recommend is agent.Exchange's rule restricted to one shard: agent i's
+// blocking partners are shard co-members that i prefers over its current
+// partner by more than alpha and that prefer i back by more than alpha,
+// ordered best-first with index tie-breaks.
 func (m *Market) recommend(i int, group []int, match matching.Matching, pen func(i, j int) float64) agent.Recommendation {
 	curI := current(i, match, pen)
 	var blocking []int
@@ -400,20 +400,7 @@ func (m *Market) recommend(i int, group []int, match matching.Matching, pen func
 			blocking = append(blocking, j)
 		}
 	}
-	rec := agent.Recommendation{AgentID: i, Action: agent.Participate}
-	if len(blocking) > 0 {
-		sort.Slice(blocking, func(x, y int) bool {
-			px, py := pen(i, blocking[x]), pen(i, blocking[y])
-			if px != py {
-				return px < py
-			}
-			return blocking[x] < blocking[y]
-		})
-		rec.Action = agent.BreakAway
-		rec.BlockingPartners = blocking
-		rec.ExpectedGain = curI - pen(i, blocking[0])
-	}
-	return rec
+	return agent.NewRecommendation(i, curI, blocking, func(j int) float64 { return pen(i, j) })
 }
 
 // trade is one cross-shard rewiring candidate: pair i with j, both
