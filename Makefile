@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak soak-repeat ci bench bench-smoke bench-parallel bench-recommend bench-approx bench-compare bench-shard bench-rematch snapshot clean
+.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak soak-repeat ci bench bench-smoke bench-selftest bench-parallel bench-recommend bench-approx bench-compare bench-shard bench-rematch snapshot clean
 
 all: build
 
@@ -81,8 +81,9 @@ soak-repeat:
 # chaos suite, the flight-log audit round-trip, the journey/tracing
 # soak, a one-iteration benchmark smoke run so benchmarks cannot
 # bit-rot silently, the approximate-kernel recall/speedup gate, the
-# sharded-market smoke gate, and the streaming-market repair gate.
-ci: lint build race test-shuffle chaos audit journey-soak bench-smoke bench-approx bench-shard bench-rematch
+# sharded-market smoke gate, the streaming-market repair gate, and the
+# benchmark module's self-tests.
+ci: lint build race test-shuffle chaos audit journey-soak bench-smoke bench-approx bench-shard bench-rematch bench-selftest
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .
@@ -91,6 +92,14 @@ bench:
 # compile-and-run check, not a measurement.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
+
+# bench-selftest vets and tests the benchmark module. perfbench is a Go
+# module of its own, so the root's ./... never compiles it; its tests run
+# every workload at a tiny size through the output checks and check that
+# the traced run, composed from the layer calls, reproduces the
+# framework's outputs.
+bench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-parallel runs the serial-vs-parallel pipeline benchmarks whose
 # last snapshot is committed as BENCH_parallel.json.

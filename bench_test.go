@@ -603,7 +603,7 @@ func BenchmarkHeterogeneity(b *testing.B) {
 // benchEpochs drives repeated scheduling epochs over a fixed 200-agent
 // population on an oracle framework (no profiling cost inside the loop).
 func benchEpochs(b *testing.B, tel *Telemetry) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 31, Telemetry: tel})
+	f, err := New(WithOracle(), WithSeed(31), WithTelemetry(tel))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func BenchmarkProfilingCampaignParallel(b *testing.B) { benchCampaign(b, 8) }
 // benchEpochPipeline measures end-to-end epochs (expand, match, assess,
 // dispatch) through the worker pool and pair cache at a fixed count.
 func benchEpochPipeline(b *testing.B, workers int) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 31, Workers: workers})
+	f, err := New(WithOracle(), WithSeed(31), WithWorkers(workers))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -137,7 +137,8 @@ func main() {
 	}
 	epochs := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
-			f, err := core.New(core.Options{Oracle: true, Seed: 31, Workers: workers})
+			f, err := core.NewFramework(core.Config{Seed: 31,
+				Pipeline: core.PipelineConfig{Oracle: true, Workers: workers}})
 			if err != nil {
 				b.Fatal(err)
 			}

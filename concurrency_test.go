@@ -39,12 +39,17 @@ func sixPolicies() map[string]Policy {
 	}
 }
 
+// withSim overrides the profiling simulation config.
+func withSim(sim arch.SimConfig) Option {
+	return func(c *Config) { c.Sim = sim }
+}
+
 // epochJSON runs one epoch on a fresh framework and returns the report
 // serialized, so reports from different worker counts can be compared
 // bytewise.
-func epochJSON(t *testing.T, opts Options, agents int) []byte {
+func epochJSON(t *testing.T, agents int, opts ...Option) []byte {
 	t.Helper()
-	f, err := NewWithOptions(opts)
+	f, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +74,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	for name, pol := range sixPolicies() {
 		for _, seed := range []int64{3, 27} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				base := Options{Policy: pol, Seed: seed, Sim: shortSim}
-				serial, parallel := base, base
-				serial.Workers = 1
-				parallel.Workers = 8
-				a := epochJSON(t, serial, 60)
-				b := epochJSON(t, parallel, 60)
+				base := []Option{WithPolicy(pol), WithSeed(seed), withSim(shortSim)}
+				a := epochJSON(t, 60, append(base, WithWorkers(1))...)
+				b := epochJSON(t, 60, append(base, WithWorkers(8))...)
 				if string(a) != string(b) {
 					t.Fatalf("epoch reports diverge between Workers:1 and Workers:8\nserial:   %.200s\nparallel: %.200s",
 						a, b)
@@ -88,12 +90,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 // computation and dispatch, no campaign) at a larger population.
 func TestWorkerCountDeterminismOracle(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
-		base := Options{Oracle: true, Seed: seed}
-		serial, parallel := base, base
-		serial.Workers = 1
-		parallel.Workers = 8
-		a := epochJSON(t, serial, 200)
-		b := epochJSON(t, parallel, 200)
+		base := []Option{WithOracle(), WithSeed(seed)}
+		a := epochJSON(t, 200, append(base, WithWorkers(1))...)
+		b := epochJSON(t, 200, append(base, WithWorkers(8))...)
 		if string(a) != string(b) {
 			t.Fatalf("seed %d: oracle epoch reports diverge between worker counts", seed)
 		}
@@ -105,7 +104,7 @@ func TestWorkerCountDeterminismOracle(t *testing.T) {
 // so by the third epoch the hit rate must exceed 90%.
 func TestPairCacheAccounting(t *testing.T) {
 	tel := NewTelemetry()
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 5, Telemetry: tel})
+	f, err := New(WithOracle(), WithSeed(5), WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestPairCacheAccounting(t *testing.T) {
 // TestFrameworkClose checks the drain semantics: Close is idempotent,
 // and epochs after Close are rejected with ErrClosed.
 func TestFrameworkClose(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 11})
+	f, err := New(WithOracle(), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +180,11 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := NewWithOptionsContext(ctx, Options{Seed: 1, Sim: shortSim}); !errors.Is(err, ErrCanceled) {
+	if _, err := NewContext(ctx, WithSeed(1), withSim(shortSim)); !errors.Is(err, ErrCanceled) {
 		t.Errorf("NewContext with canceled ctx = %v, want ErrCanceled", err)
 	}
 
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 2})
+	f, err := New(WithOracle(), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestCancellation(t *testing.T) {
 // stats.Sampler — including a caller-defined one — feeds
 // SamplePopulation.
 func TestSamplePopulationMix(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 7})
+	f, err := New(WithOracle(), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestErrNoStableMatchingFacade(t *testing.T) {
 // Ensure the report's population survives a JSON round trip (the
 // determinism tests depend on marshaling being total).
 func TestEpochReportMarshals(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 13})
+	f, err := New(WithOracle(), WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,7 @@
 // The report carries the colocation assignment, per-agent penalties,
 // agents' break-away recommendations, and the cluster dispatch summary.
 // Configuration is functional options over the grouped Config
-// (Market/Pipeline/Observe); the legacy flat Options struct remains
-// available through NewWithOptions.
+// (Market/Pipeline/Observe).
 //
 // # Scale
 //
@@ -37,7 +36,7 @@
 //
 // The pipeline's hot phases — the profiling campaign, penalty-matrix
 // completion, and per-epoch assessment — fan out across a bounded worker
-// pool sized by Options.Workers (<= 0 means GOMAXPROCS, 1 forces the
+// pool sized by WithWorkers (<= 0 means GOMAXPROCS, 1 forces the
 // serial path). Parallelism never perturbs results: every fan-out writes
 // to its own slot and seeds its own randomness, so reports are
 // bit-identical at any worker count. Repeated contention solves are
@@ -91,13 +90,6 @@ import (
 
 // Core framework types.
 type (
-	// Options is the legacy flat configuration struct.
-	//
-	// Deprecated: use the functional options (WithPolicy, WithShards,
-	// ...) with New, which assemble the grouped Config. Options remains
-	// supported through NewWithOptions and builds identical frameworks;
-	// it has no market-sharding knobs.
-	Options = core.Options
 	// Framework is a ready-to-run Cooper instance.
 	Framework = core.Framework
 	// EpochReport is the outcome of one scheduling epoch.
@@ -187,25 +179,11 @@ func NewContext(ctx context.Context, opts ...Option) (*Framework, error) {
 	return core.NewFrameworkContext(ctx, buildConfig(opts))
 }
 
-// NewWithOptions builds a Framework from the legacy flat Options struct.
-//
-// Deprecated: use New with functional options. NewWithOptions remains
-// supported indefinitely and builds the identical framework (a facade
-// test pins the equivalence).
-func NewWithOptions(opts Options) (*Framework, error) { return core.New(opts) }
-
-// NewWithOptionsContext is NewWithOptions with cancellation.
-//
-// Deprecated: use NewContext with functional options.
-func NewWithOptionsContext(ctx context.Context, opts Options) (*Framework, error) {
-	return core.NewContext(ctx, opts)
-}
-
 // Observability.
 
 type (
 	// Telemetry bundles a metrics registry with an epoch trace; pass one
-	// via Options.Telemetry to observe the pipeline. Nil disables
+	// via WithTelemetry to observe the pipeline. Nil disables
 	// observability at near-zero cost.
 	Telemetry = telemetry.Telemetry
 	// MetricsRegistry holds counters, gauges, and histograms.
@@ -216,7 +194,7 @@ type (
 )
 
 // NewTelemetry returns an enabled telemetry handle with an empty registry
-// and a fresh root span, ready for Options.Telemetry.
+// and a fresh root span, ready for WithTelemetry.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // DefaultCMP returns the paper's evaluation server model: a 12-core Xeon
@@ -234,7 +212,7 @@ func Catalog(m CMP) ([]Job, error) { return workload.Catalog(m) }
 type JobSpec = workload.Spec
 
 // BuildCatalog calibrates a custom catalog against machine m; pass the
-// result via Options.Catalog to colocate your own applications instead of
+// result via WithCatalog to colocate your own applications instead of
 // the paper's.
 func BuildCatalog(m CMP, specs []JobSpec) ([]Job, error) {
 	return workload.BuildCatalog(m, specs)

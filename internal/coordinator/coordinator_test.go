@@ -12,7 +12,7 @@ import (
 
 func testDriver(t *testing.T) (*Driver, []workload.Job) {
 	t.Helper()
-	f, err := core.New(core.Options{Oracle: true, Seed: 1})
+	f, err := core.NewFramework(core.Config{Seed: 1, Pipeline: core.PipelineConfig{Oracle: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDriverValidation(t *testing.T) {
 	if _, _, err := (&Driver{}).Run(nil); err == nil {
 		t.Error("missing framework accepted")
 	}
-	f, err := core.New(core.Options{Oracle: true, Seed: 9})
+	f, err := core.NewFramework(core.Config{Seed: 9, Pipeline: core.PipelineConfig{Oracle: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,8 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestDriverRecordsTelemetry(t *testing.T) {
 	tel := telemetry.New()
-	f, err := core.New(core.Options{Oracle: true, Seed: 1, Telemetry: tel})
+	f, err := core.NewFramework(core.Config{Seed: 1, Pipeline: core.PipelineConfig{Oracle: true},
+		Observe: core.ObserveConfig{Telemetry: tel}})
 	if err != nil {
 		t.Fatal(err)
 	}

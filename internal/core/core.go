@@ -13,18 +13,18 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cooper/internal/agent"
 	"cooper/internal/arch"
 	"cooper/internal/cachesim"
 	"cooper/internal/cluster"
+	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/parallel"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
 	"cooper/internal/recommend"
-	"cooper/internal/shard"
+	"cooper/internal/rematch"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -38,70 +38,6 @@ var ErrCanceled = errors.New("cooper: pipeline canceled")
 // ErrClosed reports that the framework was Closed and accepts no more
 // epochs. Test with errors.Is(err, ErrClosed).
 var ErrClosed = errors.New("cooper: framework closed")
-
-// Options is the legacy flat configuration surface.
-//
-// Deprecated: Options predates the grouped Config
-// (Market/Pipeline/Observe) and has no market-sharding knobs. New code
-// should build frameworks with NewFramework(Config) — or, through the
-// facade, cooper.New with functional options. Options remains supported
-// indefinitely: New converts it via Options.Config and the two construct
-// identical frameworks.
-type Options struct {
-	// Machine is the CMP model shared by every node. Zero value means
-	// arch.DefaultCMP().
-	Machine arch.CMP
-	// Machines is the cluster size in CMPs. Zero means 10 (the paper's
-	// five dual-socket nodes).
-	Machines int
-	// Policy assigns colocations. Nil means StableMarriageRandom, the
-	// paper's recommended policy.
-	Policy policy.Policy
-	// SampleFraction is the share of the colocation space profiled
-	// offline. Zero means 0.25, the paper's operating point.
-	SampleFraction float64
-	// Predictor completes the sparse penalty matrix. Zero value fields
-	// mean recommend.Default().
-	Predictor recommend.Predictor
-	// Alpha is the minimum performance gain for which an agent recommends
-	// breaking away.
-	Alpha float64
-	// Oracle skips profiling and prediction, giving the policy exact
-	// analytic penalties — the "oracular knowledge" configuration the
-	// paper compares collaborative filtering against.
-	Oracle bool
-	// Seed drives all randomness (profiling noise, sampling, SMR
-	// partitions).
-	Seed int64
-	// Sim overrides the profiling simulation config (zero value uses a
-	// short, noisy default suitable for experiments).
-	Sim arch.SimConfig
-	// Catalog overrides the built-in Table I catalog with a custom one
-	// (built via workload.BuildCatalog or workload.LoadCatalog against
-	// the same Machine). Nil uses the paper's 20 jobs.
-	Catalog []workload.Job
-	// Penalties, when non-nil, supplies the completed job-level penalty
-	// matrix directly (len(Catalog) x len(Catalog), row i = job i's
-	// penalty against each co-runner) and skips the profiling campaign
-	// and predictor entirely — for daemons that load measurements from a
-	// profile database out of band.
-	Penalties [][]float64
-	// Workers bounds the worker pool the pipeline's fan-out phases share
-	// (profiling campaign, matrix completion, oracle computation, epoch
-	// assessment). <= 0 means GOMAXPROCS; 1 forces the serial pipeline.
-	// Any value produces bit-identical results — parallelism never
-	// perturbs the simulation.
-	Workers int
-	// Telemetry, when non-nil, receives phase spans and pipeline metrics
-	// from every layer the framework touches. Nil (the default) disables
-	// observability at near-zero cost.
-	Telemetry *telemetry.Telemetry
-	// EpochTimeout, when positive, bounds each RunEpoch's wall-clock time:
-	// the epoch's context is cut over to a deadline and a run that blows
-	// it returns an error wrapping ErrCanceled instead of stalling the
-	// caller's scheduling loop (cooperd -epoch-timeout).
-	EpochTimeout time.Duration
-}
 
 // Framework is a ready-to-run Cooper instance: calibrated catalog,
 // profiling database, completed preference model, worker pool, pair
@@ -121,26 +57,11 @@ type Framework struct {
 	pool      *parallel.Pool
 	cache     *arch.PairCache
 
-	mu       sync.Mutex // guards closed and stream
+	mu       sync.Mutex // guards closed
 	closed   bool
 	inflight sync.WaitGroup // in-flight epochs, for Close's drain
 	epochSeq atomic.Int64   // 0-based epoch index stamped on flight-recorder events
-	stream   *streamState   // streaming-market ledger, lazily created by StreamEpoch
-}
-
-// New builds a Framework from the legacy flat Options.
-//
-// Deprecated: use NewFramework (or the facade's functional options).
-// New remains supported and builds the identical framework.
-func New(opts Options) (*Framework, error) {
-	return NewFrameworkContext(context.Background(), opts.Config())
-}
-
-// NewContext is New with cancellation.
-//
-// Deprecated: use NewFrameworkContext.
-func NewContext(ctx context.Context, opts Options) (*Framework, error) {
-	return NewFrameworkContext(ctx, opts.Config())
+	stream   streamState    // streaming-market ledger, used by StreamEpoch
 }
 
 // NewFramework builds a Framework from the grouped Config: it calibrates
@@ -261,8 +182,9 @@ func validatePenalties(d [][]float64, n int) error {
 	return nil
 }
 
-// reportedShards normalizes a shard-count knob for snapshots: only a
-// sharded market (> 1) is worth recording, and old logs carry zero.
+// reportedShards normalizes a shard-count knob for snapshots and
+// reports: only a sharded market (> 1) is worth recording, and old logs
+// carry zero.
 func reportedShards(shards int) int {
 	if shards > 1 {
 		return shards
@@ -397,52 +319,101 @@ func (f *Framework) RunEpoch(pop workload.Population) (*EpochReport, error) {
 }
 
 // RunEpochContext is RunEpoch with cancellation and parallel assessment.
-// The pipeline checks ctx between its phases (expand, match, assess,
-// dispatch) and inside the assessment fan-out, returning an error that
-// wraps ErrCanceled if ctx fires. After Close it returns ErrClosed.
+// The pipeline checks ctx between its phases (match, assess, dispatch)
+// and inside the assessment fan-out, returning an error that wraps
+// ErrCanceled if ctx fires. After Close it returns ErrClosed.
 func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population) (*EpochReport, error) {
+	ctx, leave, err := f.enter(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer leave()
+	if len(pop.Jobs) == 0 {
+		return nil, fmt.Errorf("core: empty population")
+	}
+	// In-process agents are their epoch-local indices.
+	mpop, err := market.NewPopulation(f.catalog, pop.Jobs, nil)
+	if err != nil {
+		return nil, err
+	}
+	reg := f.tel.Registry()
+	return f.runEpoch(ctx, &EpochReport{Population: pop}, mpop,
+		func(ctx context.Context, epoch *telemetry.Span, run market.Run) (*market.Outcome, error) {
+			matchSpan := f.tel.Phase(epoch, "match")
+			preProposals := reg.Counter("match.proposals").Value()
+			preRotations := reg.Counter("match.rotations").Value()
+			run.Span = matchSpan
+			out, err := market.Clear(ctx, f.cfg.Market, run, mpop, f.predicted, true)
+			if err != nil {
+				return nil, err
+			}
+			matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
+			if out.ShardOf != nil {
+				matchSpan.SetAttr("shards", f.cfg.Market.Shards)
+				matchSpan.SetAttr("refinement_rounds", out.RefinementRounds)
+				matchSpan.SetAttr("refinement_trades", out.RefinementTrades)
+			} else {
+				matchSpan.SetAttr("proposals", reg.Counter("match.proposals").Value()-preProposals)
+				matchSpan.SetAttr("rotations", reg.Counter("match.rotations").Value()-preRotations)
+			}
+			f.tel.End(matchSpan)
+			return out, nil
+		})
+}
+
+// enter admits one epoch past the close gate and arms the epoch
+// deadline; the returned leave releases both.
+func (f *Framework) enter(ctx context.Context) (context.Context, func(), error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	f.inflight.Add(1)
 	f.mu.Unlock()
-	defer f.inflight.Done()
-
+	cancel := context.CancelFunc(func() {})
 	if f.cfg.Pipeline.EpochTimeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.cfg.Pipeline.EpochTimeout)
-		defer cancel()
 	}
+	return ctx, func() { cancel(); f.inflight.Done() }, nil
+}
 
-	n := len(pop.Jobs)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty population")
-	}
+// marketStep runs one epoch's market under the epoch span.
+type marketStep func(ctx context.Context, epoch *telemetry.Span, run market.Run) (*market.Outcome, error)
+
+// runEpoch is everything an epoch does around its market step: it
+// consumes an epoch index, opens the epoch span, records epoch_start and
+// the snapshot, runs step, then assesses the matching, records each
+// agent's pair_matched or agent_unpaired event, dispatches the work,
+// updates the epoch metrics and records cache_hit_rate and epoch_end.
+// rep arrives holding the caller's Population (and, for a streaming
+// epoch, its AgentIDs and Rematch summary); runEpoch fills in the rest.
+func (f *Framework) runEpoch(ctx context.Context, rep *EpochReport, pop market.Population, step marketStep) (*EpochReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
+	n := len(pop.Jobs)
 	// The epoch span is keyed by index so its ID is a pure function of
 	// the seed and the epoch number: restarts and replays agree on it.
 	epochIdx := int(f.epochSeq.Add(1) - 1)
 	epoch := f.tel.PhaseKeyed(nil, "epoch", int64(epochIdx))
 	epoch.SetAttr("agents", n)
+	if rep.Rematch != nil {
+		epoch.SetAttr("stream", true)
+	}
 	f.tel.RecordIn(epoch, telemetry.Event{
 		Type: telemetry.EventEpochStart, Epoch: epochIdx,
 		Agent: -1, Partner: -1, Value: float64(n),
 	})
 	if f.tel.EventRing() != nil {
 		// Pin the epoch's inputs so an -events-out log is self-contained
-		// for cooper-replay: in-process agents are their epoch-local
-		// indices, and the matrix is the job-level predicted penalties the
-		// policy actually saw. α is recorded as "no contract" — the
-		// framework counts blocking pairs as a result (Figure 10), it does
-		// not promise their absence.
-		agents := make([]int, n)
+		// for cooper-replay: the roster in event-log IDs (so it matches
+		// the IDs rematch_round payloads name), and the job-level
+		// predicted penalties the policy actually saw. α is recorded as
+		// "no contract" — the framework counts blocking pairs as a result
+		// (Figure 10), it does not promise their absence.
 		jobs := make([]string, n)
 		for i, job := range pop.Jobs {
-			agents[i] = i
 			jobs[i] = job.Name
 		}
 		catalog := make([]string, len(f.catalog))
@@ -454,7 +425,7 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 			Policy: f.cfg.Market.Policy.Name(), Seed: f.cfg.Seed, Alpha: -1,
 			Shards: reportedShards(f.cfg.Market.Shards),
 			Kernel: f.kernel,
-			Agents: agents, Jobs: jobs,
+			Agents: pop.IDs, Jobs: jobs,
 			Catalog: catalog, Matrix: f.predicted,
 		}.Event())
 	}
@@ -462,127 +433,54 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 		return nil, wrapCanceled(ctx, err)
 	}
 
-	reg := f.tel.Registry()
-	var (
-		match  matching.Matching
-		recs   []agent.Recommendation
-		predAt func(i, j int) float64
-		mres   *shard.Result
-	)
-	if f.cfg.Market.Shards > 1 {
-		// Sharded market: the job-level matrix is never expanded to the
-		// n×n agent matrix — shards look penalties up through their jobs,
-		// so memory scales with shard size, not population size.
-		names := make([]string, n)
-		for i, job := range pop.Jobs {
-			names[i] = job.Name
-		}
-		jobIdx, err := shard.JobIndices(f.catalog, names)
-		if err != nil {
-			return nil, err
-		}
-		matchSpan := f.tel.Phase(epoch, "match")
-		mk := &shard.Market{
-			Shards:           f.cfg.Market.Shards,
-			RefinementBudget: f.cfg.Market.RefinementBudget,
-			Policy:           f.cfg.Market.Policy,
-			Alpha:            f.cfg.Market.Alpha,
-			Workers:          f.pool.Workers(),
-			Seed:             f.rng.Int63(),
-			Epoch:            epochIdx,
-			Tel:              f.tel,
-			Span:             matchSpan,
-		}
-		mres, err = mk.Clear(ctx, pop.Jobs, jobIdx, f.predicted)
-		if err != nil {
-			return nil, wrapCanceled(ctx, err)
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("shards", f.cfg.Market.Shards)
-		matchSpan.SetAttr("refinement_rounds", mres.RefinementRounds)
-		matchSpan.SetAttr("refinement_trades", mres.RefinementTrades)
-		f.tel.End(matchSpan)
-		match, recs = mres.Match, mres.Recommendations
-		predAt = func(i, j int) float64 { return f.predicted[jobIdx[i]][jobIdx[j]] }
-	} else {
-		predD, err := profiler.ExpandToAgents(f.predicted, f.catalog, pop)
-		if err != nil {
-			return nil, err
-		}
-		bw := make([]float64, n)
-		for i, j := range pop.Jobs {
-			bw[i] = j.BandwidthGBps
-		}
-
-		matchSpan := f.tel.Phase(epoch, "match")
-		preProposals := reg.Counter("match.proposals").Value()
-		preRotations := reg.Counter("match.rotations").Value()
-		match, err = f.cfg.Market.Policy.Assign(predD, policy.Context{
-			BandwidthGBps: bw,
-			Rand:          f.rng,
-			Metrics:       reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("proposals", reg.Counter("match.proposals").Value()-preProposals)
-		matchSpan.SetAttr("rotations", reg.Counter("match.rotations").Value()-preRotations)
-		f.tel.End(matchSpan)
-
-		if err := ctx.Err(); err != nil {
-			return nil, wrapCanceled(ctx, err)
-		}
-		agents := make([]*agent.Agent, n)
-		for i := range agents {
-			agents[i] = agent.New(i, pop.Jobs[i].Name, predD[i])
-		}
-		recs, err = agent.Exchange(agents, match, f.cfg.Market.Alpha)
-		if err != nil {
-			return nil, err
-		}
-		predAt = func(i, j int) float64 { return predD[i][j] }
+	out, err := step(ctx, epoch, market.Run{Rand: f.rng, Workers: f.pool.Workers(), Epoch: epochIdx, Tel: f.tel})
+	if err != nil {
+		return nil, wrapCanceled(ctx, err)
 	}
+	match := out.Match
+	rep.Match = match
+	rep.Shards = reportedShards(f.cfg.Market.Shards)
+	rep.RefinementRounds = out.RefinementRounds
+	rep.RefinementTrades = out.RefinementTrades
 
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
 	assess := f.tel.Phase(epoch, "assess")
+	rep.Recommendations = out.Recommendations
+	if rep.Recommendations == nil {
+		// A market step that brought no recommendations (every streaming
+		// epoch) gets the bounded class-bucket assessment: exact Action
+		// and ExpectedGain, bounded partner lists, O(n·classes) instead
+		// of the O(n²) message exchange — repair epochs must never pay
+		// quadratic work.
+		rep.Recommendations = rematch.Recommendations(pop.JobIdx, f.predicted, match, f.cfg.Market.Alpha, 0)
+	}
+	rep.BlockingPairs = agent.BlockingPairsFromRecommendations(rep.Recommendations)
 
 	// True penalties come from simulating each matched pair on its own
 	// CMP, fanned out across the worker pool and memoized through the
 	// pair cache. The solve is deterministic, so this equals the oracle
 	// matrix lookup bit for bit at any worker count.
-	trueP, err := policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, match,
+	rep.TruePenalty, err = policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, match,
 		f.pool.Workers(), f.cache)
 	if err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
 
-	rep := &EpochReport{
-		Population:       pop,
-		Match:            match,
-		PredictedPenalty: make([]float64, n),
-		TruePenalty:      trueP,
-		Recommendations:  recs,
-		BlockingPairs:    agent.BlockingPairsFromRecommendations(recs),
-	}
-	if mres != nil {
-		rep.Shards = f.cfg.Market.Shards
-		rep.RefinementRounds = mres.RefinementRounds
-		rep.RefinementTrades = mres.RefinementTrades
-	}
+	pen := pop.Penalty(f.predicted)
+	rep.PredictedPenalty = make([]float64, n)
 	var meanPred float64
 	for i, j := range match {
 		if j != matching.Unmatched {
-			rep.PredictedPenalty[i] = predAt(i, j)
-			meanPred += predAt(i, j)
+			rep.PredictedPenalty[i] = pen(i, j)
+			meanPred += pen(i, j)
 		}
 		switch {
 		case j == matching.Unmatched:
 			f.tel.RecordIn(epoch, telemetry.Event{
 				Type: telemetry.EventAgentUnpaired, Epoch: epochIdx,
-				Agent: i, Partner: -1, Job: pop.Jobs[i].Name,
+				Agent: pop.IDs[i], Partner: -1, Job: pop.Jobs[i].Name,
 			})
 		case i < j:
 			// One flight-recorder record per colocation, predicted next
@@ -590,8 +488,8 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 			// paper's Figure 5 aggregates.
 			f.tel.RecordIn(epoch, telemetry.Event{
 				Type: telemetry.EventPairMatched, Epoch: epochIdx,
-				Agent: i, Partner: j, Job: pop.Jobs[i].Name,
-				Predicted: predAt(i, j), True: trueP[i],
+				Agent: pop.IDs[i], Partner: pop.IDs[j], Job: pop.Jobs[i].Name,
+				Predicted: pen(i, j), True: rep.TruePenalty[i],
 			})
 		}
 	}
@@ -626,7 +524,7 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 	f.tel.End(dispatch)
 	f.tel.End(epoch)
 
-	if reg != nil {
+	if reg := f.tel.Registry(); reg != nil {
 		reg.Counter("epoch.count").Inc()
 		reg.Counter("epoch.agents").Add(int64(n))
 		reg.Counter("epoch.breakaways").Add(int64(rep.BreakAwayCount()))

@@ -14,7 +14,7 @@ import (
 
 func oracleFramework(t *testing.T, p policy.Policy, seed int64) *Framework {
 	t.Helper()
-	f, err := New(Options{Policy: p, Oracle: true, Seed: seed})
+	f, err := NewFramework(Config{Seed: seed, Market: MarketConfig{Policy: p}, Pipeline: PipelineConfig{Oracle: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestNewOracle(t *testing.T) {
 }
 
 func TestNewWithProfiling(t *testing.T) {
-	f, err := New(Options{Seed: 2})
+	f, err := NewFramework(Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,9 @@ func TestNewWithProfiling(t *testing.T) {
 }
 
 func TestNewInvalidMachine(t *testing.T) {
-	opts := Options{}
-	opts.Machine.Cores = -1
-	if _, err := New(opts); err == nil {
+	var cfg Config
+	cfg.Machine.Cores = -1
+	if _, err := NewFramework(cfg); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
@@ -101,8 +101,8 @@ func TestRunEpochOracle(t *testing.T) {
 }
 
 func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
-	f, err := New(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
-		EpochTimeout: time.Nanosecond})
+	f, err := NewFramework(Config{Seed: 1, Market: MarketConfig{Policy: policy.Greedy{}},
+		Pipeline: PipelineConfig{Oracle: true, EpochTimeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
 	}
 
 	// A generous deadline must not perturb a normal epoch.
-	g, err := New(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
-		EpochTimeout: time.Hour})
+	g, err := NewFramework(Config{Seed: 1, Market: MarketConfig{Policy: policy.Greedy{}},
+		Pipeline: PipelineConfig{Oracle: true, EpochTimeout: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,8 @@ func TestRunEpochPerformanceWithinHeuristics(t *testing.T) {
 
 func TestBreakAwayCountsRespondToAlpha(t *testing.T) {
 	count := func(alpha float64) int {
-		f, err := New(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 7, Alpha: alpha})
+		f, err := NewFramework(Config{Seed: 7, Market: MarketConfig{Policy: policy.Greedy{}, Alpha: alpha},
+			Pipeline: PipelineConfig{Oracle: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestSamplePopulationMixes(t *testing.T) {
 }
 
 func TestNewCustomCatalogValidation(t *testing.T) {
-	if _, err := New(Options{Catalog: []workload.Job{}, Oracle: true}); err == nil {
+	if _, err := NewFramework(Config{Catalog: []workload.Job{}, Pipeline: PipelineConfig{Oracle: true}}); err == nil {
 		t.Error("empty custom catalog accepted")
 	}
 }
@@ -242,7 +243,7 @@ func TestRunEpochOddPopulation(t *testing.T) {
 
 func TestPredictSpanSimPairAttrs(t *testing.T) {
 	tel := telemetry.New()
-	f, err := New(Options{Seed: 11, Telemetry: tel})
+	f, err := NewFramework(Config{Seed: 11, Observe: ObserveConfig{Telemetry: tel}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,8 @@ import (
 	"fmt"
 	"sync"
 
-	"cooper/internal/agent"
-	"cooper/internal/cluster"
-	"cooper/internal/matching"
-	"cooper/internal/policy"
-	"cooper/internal/profiler"
+	"cooper/internal/market"
 	"cooper/internal/rematch"
-	"cooper/internal/shard"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
 )
@@ -43,8 +38,8 @@ type RematchSummary struct {
 	Changed      int
 }
 
-// streamState is the Framework's per-stream ledger, created lazily on
-// the first StreamEpoch call.
+// streamState is the Framework's streaming-market ledger. Its mutex
+// serializes StreamEpoch calls, which share the ledger.
 type streamState struct {
 	mu     sync.Mutex
 	ledger rematch.Ledger
@@ -76,26 +71,14 @@ func (f *Framework) StreamEpochContext(ctx context.Context, churn Churn) (*Epoch
 	if !f.cfg.Market.Rematch {
 		return nil, fmt.Errorf("core: streaming market disabled; enable Market.Rematch (cooper.WithRematch)")
 	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
+	ctx, leave, err := f.enter(ctx)
+	if err != nil {
+		return nil, err
 	}
-	f.inflight.Add(1)
-	if f.stream == nil {
-		f.stream = &streamState{}
-	}
-	st := f.stream
-	f.mu.Unlock()
-	defer f.inflight.Done()
+	defer leave()
+	st := &f.stream
 	st.mu.Lock()
 	defer st.mu.Unlock()
-
-	if f.cfg.Pipeline.EpochTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.Pipeline.EpochTimeout)
-		defer cancel()
-	}
 
 	// Arriving jobs must be catalog jobs: the ledger tracks matrix rows.
 	jobRow := make(map[string]int, len(f.catalog))
@@ -119,280 +102,77 @@ func (f *Framework) StreamEpochContext(ctx context.Context, churn Churn) (*Epoch
 		return nil, fmt.Errorf("core: empty population after churn")
 	}
 	full := st.ledger.FullDue(f.cfg.Market.ChurnThreshold)
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
 
-	// The streaming population: agent i runs its ledger job class.
-	pop := workload.Population{Jobs: make([]workload.Job, n)}
-	ids := make([]int, n)
-	jobIdx := make([]int, n)
+	// The streaming population: agent i runs its ledger job class and
+	// carries its stable ID into every event.
+	pop := market.Population{Jobs: make([]workload.Job, n), JobIdx: make([]int, n), IDs: make([]int, n)}
 	for i, a := range delta.Agents {
 		pop.Jobs[i] = f.catalog[a.Job]
-		ids[i] = a.ID
-		jobIdx[i] = a.Job
-	}
-	pen := func(i, j int) float64 { return f.predicted[jobIdx[i]][jobIdx[j]] }
-
-	// Keyed by epoch index like the batch path, so streaming and batch
-	// runs over the same seed produce the same epoch span IDs.
-	epochIdx := int(f.epochSeq.Add(1) - 1)
-	epoch := f.tel.PhaseKeyed(nil, "epoch", int64(epochIdx))
-	epoch.SetAttr("agents", n)
-	epoch.SetAttr("stream", true)
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventEpochStart, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: float64(n),
-	})
-	if f.tel.EventRing() != nil {
-		// Streaming snapshots carry the stable IDs, so the roster an
-		// auditor derives matches the IDs rematch_round payloads name.
-		jobs := make([]string, n)
-		for i, job := range pop.Jobs {
-			jobs[i] = job.Name
-		}
-		catalog := make([]string, len(f.catalog))
-		for i, job := range f.catalog {
-			catalog[i] = job.Name
-		}
-		f.tel.RecordIn(epoch, telemetry.EpochSnapshot{
-			Epoch: epochIdx, Source: telemetry.SnapshotSourceCore,
-			Policy: f.cfg.Market.Policy.Name(), Seed: f.cfg.Seed, Alpha: -1,
-			Shards: reportedShards(f.cfg.Market.Shards),
-			Kernel: f.kernel,
-			Agents: ids, Jobs: jobs,
-			Catalog: catalog, Matrix: f.predicted,
-		}.Event())
-	}
-
-	payload := rematchPayload{
-		Joined:   make([]int, 0, len(delta.Joined)),
-		Departed: append([]int{}, delta.Departed...),
-	}
-	for _, i := range delta.Joined {
-		payload.Joined = append(payload.Joined, ids[i])
+		pop.JobIdx[i] = a.Job
+		pop.IDs[i] = a.ID
 	}
 	summary := &RematchSummary{Joined: len(delta.Joined), Departed: len(delta.Departed)}
-	reg := f.tel.Registry()
-
-	emitRound := func(kind string) {
-		data, _ := json.Marshal(payload)
-		f.tel.RecordIn(epoch, telemetry.Event{
-			Type: telemetry.EventRematchRound, Epoch: epochIdx,
-			Agent: -1, Partner: -1, Kind: kind, Round: 0,
-			Value: float64(n), Data: string(data),
-		})
-	}
-
-	var (
-		match matching.Matching
-		mres  *shard.Result
-	)
-	if full {
-		summary.Mode = "full"
-		emitRound("full")
-		matchSpan := f.tel.Phase(epoch, "match")
-		if f.cfg.Market.Shards > 1 {
-			mk := &shard.Market{
-				Shards:              f.cfg.Market.Shards,
-				RefinementBudget:    f.cfg.Market.RefinementBudget,
-				Policy:              f.cfg.Market.Policy,
-				Alpha:               f.cfg.Market.Alpha,
-				Workers:             f.pool.Workers(),
-				Seed:                f.rng.Int63(),
-				Epoch:               epochIdx,
-				IDs:                 ids,
-				Tel:                 f.tel,
-				Span:                matchSpan,
-				SkipRecommendations: true,
-			}
-			mres, err = mk.Clear(ctx, pop.Jobs, jobIdx, f.predicted)
-			if err != nil {
-				return nil, wrapCanceled(ctx, err)
-			}
-			match = mres.Match
-		} else {
-			predD, err := profiler.ExpandToAgents(f.predicted, f.catalog, pop)
-			if err != nil {
-				return nil, err
-			}
-			bw := make([]float64, n)
-			for i, j := range pop.Jobs {
-				bw[i] = j.BandwidthGBps
-			}
-			match, err = f.cfg.Market.Policy.Assign(predD, policy.Context{
-				BandwidthGBps: bw, Rand: f.rng, Metrics: reg,
-			})
-			if err != nil {
-				return nil, err
-			}
+	rep := &EpochReport{Population: workload.Population{Jobs: pop.Jobs}, AgentIDs: pop.IDs, Rematch: summary}
+	return f.runEpoch(ctx, rep, pop, func(ctx context.Context, epoch *telemetry.Span, run market.Run) (*market.Outcome, error) {
+		payload := rematchPayload{
+			Joined:   make([]int, 0, len(delta.Joined)),
+			Departed: append([]int{}, delta.Departed...),
 		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("mode", "full")
-		f.tel.End(matchSpan)
-		if err := st.ledger.Commit(match, true); err != nil {
+		for _, i := range delta.Joined {
+			payload.Joined = append(payload.Joined, pop.IDs[i])
+		}
+		emitRound := func(kind string) {
+			data, _ := json.Marshal(payload)
+			f.tel.RecordIn(epoch, telemetry.Event{
+				Type: telemetry.EventRematchRound, Epoch: run.Epoch,
+				Agent: -1, Partner: -1, Kind: kind, Round: 0,
+				Value: float64(n), Data: string(data),
+			})
+		}
+		reg := f.tel.Registry()
+
+		var (
+			out *market.Outcome
+			err error
+		)
+		if full {
+			summary.Mode = "full"
+			emitRound("full")
+			run.Span = f.tel.Phase(epoch, "match")
+			out, err = market.Clear(ctx, f.cfg.Market, run, pop, f.predicted, false)
+			if err != nil {
+				return nil, err
+			}
+			run.Span.SetAttr("policy", f.cfg.Market.Policy.Name())
+			run.Span.SetAttr("mode", "full")
+			f.tel.End(run.Span)
+			reg.Counter("rematch.fulls").Inc()
+		} else {
+			summary.Mode = "repair"
+			run.Span = f.tel.Phase(epoch, "match")
+			out, err = market.Repair(ctx, f.cfg.Market, run, pop, f.predicted, delta.Prev, delta.Dirty)
+			if err != nil {
+				return nil, err
+			}
+			run.Span.SetAttr("policy", f.cfg.Market.Policy.Name())
+			run.Span.SetAttr("mode", "repair")
+			run.Span.SetAttr("neighborhood", len(out.Neighborhood))
+			run.Span.SetAttr("changed", len(out.Changed))
+			f.tel.End(run.Span)
+			summary.Neighborhood = len(out.Neighborhood)
+			summary.Changed = len(out.Changed)
+			payload.Neighborhood = make([]int, 0, len(out.Neighborhood))
+			for _, i := range out.Neighborhood {
+				payload.Neighborhood = append(payload.Neighborhood, pop.IDs[i])
+			}
+			emitRound("repair")
+			reg.Counter("rematch.repairs").Inc()
+		}
+		if err := st.ledger.Commit(out.Match, full); err != nil {
 			return nil, err
 		}
-		reg.Counter("rematch.fulls").Inc()
-	} else {
-		summary.Mode = "repair"
-		matchSpan := f.tel.Phase(epoch, "match")
-		var nbhd, changed []int
-		if f.cfg.Market.Shards > 1 {
-			mk := &shard.Market{
-				Shards:  f.cfg.Market.Shards,
-				Policy:  f.cfg.Market.Policy,
-				Alpha:   f.cfg.Market.Alpha,
-				Workers: f.pool.Workers(),
-				Seed:    f.rng.Int63(),
-				Epoch:   epochIdx,
-				IDs:     ids,
-				Tel:     f.tel,
-				Span:    matchSpan,
-			}
-			rres, err := mk.Repair(ctx, pop.Jobs, jobIdx, f.predicted, delta.Prev, delta.Dirty, f.cfg.Market.RematchTopK)
-			if err != nil {
-				return nil, wrapCanceled(ctx, err)
-			}
-			match, nbhd, changed = rres.Match, rres.Neighborhood, rres.Changed
-		} else {
-			bw := make([]float64, n)
-			for i, j := range pop.Jobs {
-				bw[i] = j.BandwidthGBps
-			}
-			rp := &rematch.Repairer{
-				Policy:  f.cfg.Market.Policy,
-				TopK:    f.cfg.Market.RematchTopK,
-				Rand:    f.rng,
-				Metrics: reg,
-			}
-			rres, err := rp.Repair(delta, pen, bw)
-			if err != nil {
-				return nil, err
-			}
-			match, nbhd, changed = rres.Match, rres.Neighborhood, rres.Changed
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("mode", "repair")
-		matchSpan.SetAttr("neighborhood", len(nbhd))
-		matchSpan.SetAttr("changed", len(changed))
-		f.tel.End(matchSpan)
-		summary.Neighborhood = len(nbhd)
-		summary.Changed = len(changed)
-		payload.Neighborhood = make([]int, 0, len(nbhd))
-		for _, i := range nbhd {
-			payload.Neighborhood = append(payload.Neighborhood, ids[i])
-		}
-		emitRound("repair")
-		if err := st.ledger.Commit(match, false); err != nil {
-			return nil, err
-		}
-		reg.Counter("rematch.repairs").Inc()
-	}
-	reg.Counter("rematch.joined").Add(int64(summary.Joined))
-	reg.Counter("rematch.departed").Add(int64(summary.Departed))
-
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-	assess := f.tel.Phase(epoch, "assess")
-	// Streaming epochs always use the bounded class-bucket assessment:
-	// exact Action and ExpectedGain, bounded partner lists, O(n·classes)
-	// instead of the O(n²) message exchange — repair epochs must never
-	// pay quadratic work.
-	recs := rematch.Recommendations(jobIdx, f.predicted, match, f.cfg.Market.Alpha, 0)
-
-	trueP, err := policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, match,
-		f.pool.Workers(), f.cache)
-	if err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-
-	rep := &EpochReport{
-		Population:       pop,
-		Match:            match,
-		AgentIDs:         ids,
-		Rematch:          summary,
-		PredictedPenalty: make([]float64, n),
-		TruePenalty:      trueP,
-		Recommendations:  recs,
-		BlockingPairs:    agent.BlockingPairsFromRecommendations(recs),
-	}
-	if mres != nil {
-		rep.Shards = f.cfg.Market.Shards
-		rep.RefinementRounds = mres.RefinementRounds
-		rep.RefinementTrades = mres.RefinementTrades
-	} else if f.cfg.Market.Shards > 1 {
-		rep.Shards = f.cfg.Market.Shards
-	}
-	var meanPred float64
-	for i, j := range match {
-		if j != matching.Unmatched {
-			rep.PredictedPenalty[i] = pen(i, j)
-			meanPred += pen(i, j)
-		}
-		switch {
-		case j == matching.Unmatched:
-			f.tel.RecordIn(epoch, telemetry.Event{
-				Type: telemetry.EventAgentUnpaired, Epoch: epochIdx,
-				Agent: ids[i], Partner: -1, Job: pop.Jobs[i].Name,
-			})
-		case i < j:
-			f.tel.RecordIn(epoch, telemetry.Event{
-				Type: telemetry.EventPairMatched, Epoch: epochIdx,
-				Agent: ids[i], Partner: ids[j], Job: pop.Jobs[i].Name,
-				Predicted: pen(i, j), True: trueP[i],
-			})
-		}
-	}
-	meanPred /= float64(n)
-	assess.SetAttr("breakaways", rep.BreakAwayCount())
-	assess.SetAttr("blocking_pairs", len(rep.BlockingPairs))
-	f.tel.End(assess)
-
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-	dispatch := f.tel.Phase(epoch, "dispatch")
-	f.cluster.Reset()
-	var batch []cluster.Assignment
-	for i, j := range match {
-		switch {
-		case j == matching.Unmatched:
-			batch = append(batch, cluster.Assignment{
-				AgentA: i, AgentB: -1, JobA: pop.Jobs[i],
-			})
-		case i < j:
-			batch = append(batch, cluster.Assignment{
-				AgentA: i, AgentB: j, JobA: pop.Jobs[i], JobB: pop.Jobs[j],
-			})
-		}
-	}
-	results := f.cluster.Dispatch(batch)
-	rep.Cluster = f.cluster.Summarize(results)
-	dispatch.SetAttr("colocations", len(batch))
-	f.tel.End(dispatch)
-	f.tel.End(epoch)
-
-	if reg != nil {
-		reg.Counter("epoch.count").Inc()
-		reg.Counter("epoch.agents").Add(int64(n))
-		reg.Counter("epoch.breakaways").Add(int64(rep.BreakAwayCount()))
-		reg.Counter("epoch.blocking_pairs").Add(int64(len(rep.BlockingPairs)))
-		reg.Gauge("epoch.mean_penalty").Set(rep.MeanTruePenalty())
-		h := reg.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
-		for _, p := range rep.TruePenalty {
-			h.Observe(p)
-		}
-	}
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventCacheHitRate, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: f.cache.HitRate(),
+		reg.Counter("rematch.joined").Add(int64(summary.Joined))
+		reg.Counter("rematch.departed").Add(int64(summary.Departed))
+		return out, nil
 	})
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventEpochEnd, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: rep.MeanTruePenalty(),
-		Predicted: meanPred,
-	})
-	return rep, nil
 }

@@ -38,10 +38,9 @@ import (
 	"time"
 
 	"cooper/internal/faults"
+	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
-	"cooper/internal/profiler"
-	"cooper/internal/shard"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -259,6 +258,7 @@ type Server struct {
 	sessions []*session
 	done     chan struct{}
 	rng      *rand.Rand
+	tel      *telemetry.Telemetry // Metrics and Events, for the market engine
 
 	registrations chan *session
 	idSeq         atomic.Int64 // next wire AgentID; never reused, so rejoins get fresh IDs
@@ -455,6 +455,7 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	s.mu.Unlock()
 	s.done = make(chan struct{})
 	s.rng = stats.NewRand(s.Seed)
+	s.tel = &telemetry.Telemetry{Metrics: s.Metrics, Events: s.Events}
 	s.registrations = make(chan *session, s.Epoch+16)
 	if tc := s.Span.Context(); !tc.IsZero() {
 		// Precomputed before the accept loop exists, so registration
@@ -526,12 +527,20 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 			s.admitPending(e)
 		}
 		start := time.Now()
+		ep := &wireEpoch{epoch: e, breakAway: make(map[int]bool)}
+		if s.EpochTimeout > 0 {
+			ep.deadline = start.Add(s.EpochTimeout)
+		}
+		s.openEpoch(e)
 		var summary Message
 		var err error
 		if s.Rematch {
-			summary, err = s.runEpochStream(e)
+			summary, err = s.runEpochStream(ep)
 		} else {
-			summary, err = s.runEpoch(e)
+			summary, err = s.runEpoch(ep)
+		}
+		if ep.degraded {
+			s.Metrics.Counter("epoch.degraded").Inc()
 		}
 		s.curSpan.Finish()
 		s.curSpan = nil
@@ -771,6 +780,52 @@ func (s *Server) openEpoch(epoch int) {
 	}.Event())
 }
 
+// wireEpoch is one epoch's state shared by its assignment rounds.
+type wireEpoch struct {
+	epoch    int
+	deadline time.Time // zero when EpochTimeout is unset
+	degraded bool      // some agent was reaped
+	// breakAway is each agent's latest assessment, by wire ID.
+	breakAway map[int]bool
+}
+
+// marketConfig is the server's market as the engine takes it. The
+// refinement and recommendation alpha is the audited stability contract
+// when one is set, zero otherwise.
+func (s *Server) marketConfig() market.Config {
+	alpha := 0.0
+	if s.AuditStability {
+		alpha = s.StabilityAlpha
+	}
+	return market.Config{
+		Policy:           s.Policy,
+		Alpha:            alpha,
+		Shards:           s.Shards,
+		RefinementBudget: s.RefinementBudget,
+		Rematch:          s.Rematch,
+		RematchTopK:      s.RematchTopK,
+		ChurnThreshold:   s.ChurnThreshold,
+	}
+}
+
+// marketRun is one round's engine call context: the server's RNG and
+// worker budget, with per-shard spans under the epoch span.
+func (s *Server) marketRun(epoch int) market.Run {
+	return market.Run{Rand: s.rng, Workers: s.Workers, Epoch: epoch, Tel: s.tel, Span: s.curSpan}
+}
+
+// population is the live sessions as the round's market population, in
+// session order under their wire AgentIDs.
+func (s *Server) population() (market.Population, error) {
+	jobs := make([]workload.Job, len(s.sessions))
+	ids := make([]int, len(s.sessions))
+	for i, sess := range s.sessions {
+		jobs[i] = sess.job
+		ids[i] = sess.id
+	}
+	return market.NewPopulation(s.Catalog, jobs, ids)
+}
+
 // runEpoch clears one round of the matching market. If any agent proves
 // unreachable — a failed write, a read deadline, a stale-message flood —
 // it is reaped and the surviving population re-matched in a fresh
@@ -778,209 +833,174 @@ func (s *Server) openEpoch(epoch int) {
 // already allows); the epoch then completes degraded instead of
 // erroring. Each retry round strictly shrinks the population, so the
 // loop terminates even under total loss, yielding an empty summary.
-func (s *Server) runEpoch(epoch int) (Message, error) {
-	var epochDeadline time.Time
-	if s.EpochTimeout > 0 {
-		epochDeadline = time.Now().Add(s.EpochTimeout)
-	}
-	degraded := false
-	defer func() {
-		if degraded {
-			s.Metrics.Counter("epoch.degraded").Inc()
-		}
-	}()
-	s.openEpoch(epoch)
-
-	round := 0
-	for {
+// Agents that register meanwhile wait for the next epoch.
+func (s *Server) runEpoch(ep *wireEpoch) (Message, error) {
+	for round := 0; ; round++ {
 		if round > 0 {
 			s.record(telemetry.Event{Type: telemetry.EventRematchRound,
-				Epoch: epoch, Agent: -1, Partner: -1, Round: round,
+				Epoch: ep.epoch, Agent: -1, Partner: -1, Round: round,
 				Value: float64(len(s.sessions))})
 		}
-		round++
 		if len(s.sessions) == 0 {
-			// Every participant died; the epoch completes trivially
-			// rather than wedging Serve.
-			s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
-				Epoch: epoch, Agent: -1, Partner: -1})
-			return Message{Type: "summary", PartnerID: -1}, nil
+			return s.closeEpoch(ep, nil, nil), nil
 		}
-		pop := workload.Population{Jobs: make([]workload.Job, len(s.sessions)), Mix: "registered"}
-		for i, sess := range s.sessions {
-			pop.Jobs[i] = sess.job
+		pop, err := s.population()
+		if err != nil {
+			return Message{}, err
 		}
-		var (
-			match   matching.Matching
-			shardOf []int
-			pen     func(i, j int) float64
-		)
-		if s.Shards > 1 {
-			// Sharded market: match per shard in parallel, refine across
-			// boundaries, and look penalties up through the job-level
-			// matrix — the n×n agent expansion is never materialized, so
-			// the wire coordinator scales to populations the all-pairs
-			// path cannot hold in memory.
-			names := make([]string, len(s.sessions))
-			ids := make([]int, len(s.sessions))
-			for i, sess := range s.sessions {
-				names[i] = sess.job.Name
-				ids[i] = sess.id
-			}
-			jobIdx, err := shard.JobIndices(s.Catalog, names)
-			if err != nil {
-				return Message{}, err
-			}
-			alpha := 0.0
-			if s.AuditStability {
-				alpha = s.StabilityAlpha
-			}
-			mk := &shard.Market{
-				Shards:           s.Shards,
-				RefinementBudget: s.RefinementBudget,
-				Policy:           s.Policy,
-				Alpha:            alpha,
-				Workers:          s.Workers,
-				Seed:             s.rng.Int63(),
-				Epoch:            epoch,
-				IDs:              ids,
-				Tel:              &telemetry.Telemetry{Metrics: s.Metrics, Events: s.Events},
-				Span:             s.curSpan,
-			}
-			res, err := mk.Clear(context.Background(), pop.Jobs, jobIdx, s.Penalties)
-			if err != nil {
-				return Message{}, err
-			}
-			match, shardOf = res.Match, res.ShardOf
-			pen = func(i, j int) float64 { return s.Penalties[jobIdx[i]][jobIdx[j]] }
-		} else {
-			d, err := profiler.ExpandToAgents(s.Penalties, s.Catalog, pop)
-			if err != nil {
-				return Message{}, err
-			}
-			bw := make([]float64, len(pop.Jobs))
-			for i, j := range pop.Jobs {
-				bw[i] = j.BandwidthGBps
-			}
-			match, err = s.Policy.Assign(d, policy.Context{
-				BandwidthGBps: bw,
-				Rand:          s.rng,
-				Metrics:       s.Metrics,
-			})
-			if err != nil {
-				return Message{}, err
-			}
-			pen = func(i, j int) float64 { return d[i][j] }
+		out, err := market.Clear(context.Background(), s.marketConfig(), s.marketRun(ep.epoch), pop, s.Penalties, false)
+		if err != nil {
+			return Message{}, err
 		}
-
-		// Push assignments. Partner identity goes out as the partner's
-		// wire AgentID, which is stable across reaps and rejoins, not its
-		// transient index in this round's population.
-		s.seq++
-		deadWrite := make(map[*session]bool)
-		var dead []*session
-		for i, sess := range s.sessions {
-			msg := Message{Type: "assignment", Seq: s.seq, PartnerID: -1}
-			if shardOf != nil {
-				msg.Shard = shardOf[i]
-			}
-			if match[i] != matching.Unmatched {
-				partner := s.sessions[match[i]]
-				msg.PartnerID = partner.id
-				msg.PartnerJob = partner.job.Name
-				msg.PredictedPenalty = pen(i, match[i])
-				if i < match[i] {
-					s.record(telemetry.Event{Type: telemetry.EventPairMatched,
-						Epoch: epoch, Agent: sess.id, Partner: partner.id,
-						Job: sess.job.Name, Predicted: pen(i, match[i])})
-				}
-			} else {
-				// An explicit solo record (odd population, Threshold
-				// policy): the auditor's coverage invariant needs to tell
-				// "deliberately unpaired" apart from "forgotten".
-				s.record(telemetry.Event{Type: telemetry.EventAgentUnpaired,
-					Epoch: epoch, Agent: sess.id, Partner: -1, Job: sess.job.Name})
-			}
-			if err := s.send(sess, msg); err != nil {
-				dead = append(dead, sess)
-				deadWrite[sess] = true
-			}
-		}
-
-		// Collect assessments from every session whose assignment write
-		// succeeded, even when some writes failed. Whether a dead peer
-		// surfaces at write time or at the subsequent read is a kernel
-		// timing artifact (a write to a just-closed conn can still land in
-		// the buffer), so the set of agents reaped this round must not
-		// depend on it — skipping the collect pass after a write failure
-		// would let an unrelated mute agent survive into the retry round
-		// on some runs and not others. Reads keep going past individual
-		// failures so one mute agent costs one deadline, not one per
-		// survivor.
-		breakAways := 0
-		var meanPenalty float64
-		for i, sess := range s.sessions {
-			if deadWrite[sess] {
-				continue
-			}
-			assess, err := s.recvAssess(sess, epochDeadline)
-			if err != nil {
-				dead = append(dead, sess)
-				continue
-			}
-			if assess.Action == "break-away" {
-				breakAways++
-			}
-			if match[i] != matching.Unmatched {
-				meanPenalty += pen(i, match[i])
-			}
-		}
-		if len(dead) > 0 {
-			s.reap(dead, epoch)
-			degraded = true
+		pen := pop.Penalty(s.Penalties)
+		if dead := s.pushCollect(ep, everyone(len(s.sessions)), out.Match, out.ShardOf, pen); len(dead) > 0 {
+			s.reapDegraded(ep, dead)
 			continue // re-match the survivors
 		}
-		meanPenalty /= float64(len(s.sessions))
-
-		// Broadcast the summary. The epoch's result stands even if some
-		// agents prove unreachable here; they are reaped for the next
-		// epoch rather than triggering a re-match.
-		live := s.sessions
-		summary := Message{
-			Type:          "summary",
-			PartnerID:     -1,
-			MeanPenalty:   meanPenalty,
-			BreakAways:    breakAways,
-			Participating: len(live) - breakAways,
-		}
-		for _, sess := range live {
-			if err := s.send(sess, summary); err != nil {
-				dead = append(dead, sess)
-			}
-		}
-		if len(dead) > 0 {
-			s.reap(dead, epoch)
-			degraded = true
-		}
-		if s.Metrics != nil {
-			s.Metrics.Counter("epoch.count").Inc()
-			s.Metrics.Counter("epoch.agents").Add(int64(len(live)))
-			s.Metrics.Counter("epoch.breakaways").Add(int64(breakAways))
-			s.Metrics.Counter("epoch.participating").Add(int64(summary.Participating))
-			s.Metrics.Gauge("epoch.mean_penalty").Set(meanPenalty)
-			h := s.Metrics.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
-			for i := range live {
-				if match[i] != matching.Unmatched {
-					h.Observe(pen(i, match[i]))
-				} else {
-					h.Observe(0)
-				}
-			}
-		}
-		s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
-			Epoch: epoch, Agent: -1, Partner: -1, Value: meanPenalty})
-		return summary, nil
+		return s.closeEpoch(ep, out.Match, pen), nil
 	}
+}
+
+// everyone lists the indices 0..n-1.
+func everyone(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// pushCollect pushes the round's assignments to the sessions at idx,
+// recording a pair_matched or agent_unpaired event for each, then
+// collects the assessment of every session whose write succeeded and
+// notes its break-away in ep. It returns the sessions that proved
+// unreachable. Partner identity goes out as the partner's wire AgentID,
+// which is stable across reaps and rejoins, not its transient index in
+// this round's population.
+//
+// The collect pass runs even when some writes failed. Whether a dead
+// peer surfaces at write time or at the subsequent read is a kernel
+// timing artifact (a write to a just-closed conn can still land in the
+// buffer), so the set of agents reaped this round must not depend on it
+// — skipping the collect pass after a write failure would let an
+// unrelated mute agent survive into the retry round on some runs and
+// not others. Reads keep going past individual failures so one mute
+// agent costs one deadline, not one per survivor.
+func (s *Server) pushCollect(ep *wireEpoch, idx []int, match matching.Matching, shardOf []int, pen func(i, j int) float64) []*session {
+	s.seq++
+	deadWrite := make(map[*session]bool)
+	var dead []*session
+	for _, i := range idx {
+		sess := s.sessions[i]
+		msg := Message{Type: "assignment", Seq: s.seq, PartnerID: -1}
+		if shardOf != nil {
+			msg.Shard = shardOf[i]
+		}
+		if match[i] != matching.Unmatched {
+			partner := s.sessions[match[i]]
+			msg.PartnerID = partner.id
+			msg.PartnerJob = partner.job.Name
+			msg.PredictedPenalty = pen(i, match[i])
+			if i < match[i] {
+				s.record(telemetry.Event{Type: telemetry.EventPairMatched,
+					Epoch: ep.epoch, Agent: sess.id, Partner: partner.id,
+					Job: sess.job.Name, Predicted: pen(i, match[i])})
+			}
+		} else {
+			// An explicit solo record (odd population, Threshold policy):
+			// the auditor's coverage invariant needs to tell "deliberately
+			// unpaired" apart from "forgotten".
+			s.record(telemetry.Event{Type: telemetry.EventAgentUnpaired,
+				Epoch: ep.epoch, Agent: sess.id, Partner: -1, Job: sess.job.Name})
+		}
+		if err := s.send(sess, msg); err != nil {
+			dead = append(dead, sess)
+			deadWrite[sess] = true
+		}
+	}
+	for _, i := range idx {
+		sess := s.sessions[i]
+		if deadWrite[sess] {
+			continue
+		}
+		assess, err := s.recvAssess(sess, ep.deadline)
+		if err != nil {
+			dead = append(dead, sess)
+			continue
+		}
+		ep.breakAway[sess.id] = assess.Action == "break-away"
+	}
+	return dead
+}
+
+// reapDegraded reaps the dead sessions, if any, and marks the epoch
+// degraded.
+func (s *Server) reapDegraded(ep *wireEpoch, dead []*session) {
+	if len(dead) > 0 {
+		s.reap(dead, ep.epoch)
+		ep.degraded = true
+	}
+}
+
+// closeEpoch ends an epoch whose last round settled: it broadcasts the
+// summary, records the epoch metrics and records epoch_end. The mean
+// penalty sums in session order over the job-level matrix, which is the
+// association auditors replay bit for bit. The epoch's result stands
+// even if some agents prove unreachable here; they are reaped for the
+// next epoch rather than triggering a re-match. An epoch every
+// participant left completes trivially rather than wedging Serve.
+func (s *Server) closeEpoch(ep *wireEpoch, match matching.Matching, pen func(i, j int) float64) Message {
+	live := s.sessions
+	if len(live) == 0 {
+		s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
+			Epoch: ep.epoch, Agent: -1, Partner: -1})
+		return Message{Type: "summary", PartnerID: -1}
+	}
+	var meanPenalty float64
+	for i := range live {
+		if match[i] != matching.Unmatched {
+			meanPenalty += pen(i, match[i])
+		}
+	}
+	meanPenalty /= float64(len(live))
+	breakAways := 0
+	for _, sess := range live {
+		if ep.breakAway[sess.id] {
+			breakAways++
+		}
+	}
+	summary := Message{
+		Type:          "summary",
+		PartnerID:     -1,
+		MeanPenalty:   meanPenalty,
+		BreakAways:    breakAways,
+		Participating: len(live) - breakAways,
+	}
+	var dead []*session
+	for _, sess := range live {
+		if err := s.send(sess, summary); err != nil {
+			dead = append(dead, sess)
+		}
+	}
+	s.reapDegraded(ep, dead)
+	if s.Metrics != nil {
+		s.Metrics.Counter("epoch.count").Inc()
+		s.Metrics.Counter("epoch.agents").Add(int64(len(live)))
+		s.Metrics.Counter("epoch.breakaways").Add(int64(breakAways))
+		s.Metrics.Counter("epoch.participating").Add(int64(summary.Participating))
+		s.Metrics.Gauge("epoch.mean_penalty").Set(meanPenalty)
+		h := s.Metrics.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
+		for i := range live {
+			if match[i] != matching.Unmatched {
+				h.Observe(pen(i, match[i]))
+			} else {
+				h.Observe(0)
+			}
+		}
+	}
+	s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
+		Epoch: ep.epoch, Agent: -1, Partner: -1, Value: meanPenalty})
+	return summary
 }
 
 // Client is one networked agent.

@@ -4,15 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"sort"
-	"time"
 
+	"cooper/internal/market"
 	"cooper/internal/matching"
-	"cooper/internal/policy"
-	"cooper/internal/profiler"
 	"cooper/internal/rematch"
-	"cooper/internal/shard"
 	"cooper/internal/telemetry"
-	"cooper/internal/workload"
 )
 
 // wireChurn is a streaming rematch_round's Data payload: the churn the
@@ -48,124 +44,56 @@ func (s *Server) emitRematchRound(epoch, round int, kind string, churn wireChurn
 // clear exceeds ChurnThreshold×population, the round falls back to a
 // full re-match. The epoch closes once a round ends with no churn left
 // to absorb; EpochTimeout bounds a registration flood.
-func (s *Server) runEpochStream(epoch int) (Message, error) {
-	var epochDeadline time.Time
-	if s.EpochTimeout > 0 {
-		epochDeadline = time.Now().Add(s.EpochTimeout)
-	}
-	degraded := false
-	defer func() {
-		if degraded {
-			s.Metrics.Counter("epoch.degraded").Inc()
-		}
-	}()
-	s.openEpoch(epoch)
-
+func (s *Server) runEpochStream(ep *wireEpoch) (Message, error) {
 	var (
-		round    int
 		baseN    int         // population at the epoch's last full clear
 		churn    int         // joins + departures since that clear
 		joined   []*session  // sessions admitted since the previous round
 		departed []int       // wire IDs reaped since the previous round
 		prevByID map[int]int // standing matching: wire ID -> partner wire ID
-
-		match   matching.Matching
-		shardOf []int
-		pen     func(i, j int) float64
-
-		breakAway = make(map[int]bool) // latest assessment per wire ID
 	)
+	cfg := s.marketConfig()
 
-	for {
+	for round := 0; ; round++ {
 		if len(s.sessions) == 0 {
-			// Every participant died and nobody joined; the epoch
-			// completes trivially rather than wedging Serve.
-			s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
-				Epoch: epoch, Agent: -1, Partner: -1})
-			return Message{Type: "summary", PartnerID: -1}, nil
+			// Every participant died and nobody joined.
+			return s.closeEpoch(ep, nil, nil), nil
 		}
 		n := len(s.sessions)
-		jobs := make([]workload.Job, n)
-		names := make([]string, n)
-		ids := make([]int, n)
-		bw := make([]float64, n)
-		for i, sess := range s.sessions {
-			jobs[i] = sess.job
-			names[i] = sess.job.Name
-			ids[i] = sess.id
-			bw[i] = sess.job.BandwidthGBps
-		}
-		jobIdx, err := shard.JobIndices(s.Catalog, names)
+		pop, err := s.population()
 		if err != nil {
 			return Message{}, err
 		}
-		// Penalties are job-level lookups throughout — the n×n agent
-		// expansion is materialized only for the unsharded policy call.
-		pen = func(i, j int) float64 { return s.Penalties[jobIdx[i]][jobIdx[j]] }
+		pen := pop.Penalty(s.Penalties)
 
 		full := round == 0 ||
 			float64(churn) > rematch.ThresholdOrDefault(s.ChurnThreshold)*float64(baseN)
 
-		var pushSet []int
+		var (
+			out     *market.Outcome
+			pushSet []int
+		)
 		if full {
 			if round > 0 {
 				// The rematch_round goes out before the market clears, so
 				// its shard_matched events land in the fresh audit segment.
-				s.emitRematchRound(epoch, round, "full", wireChurn{
+				s.emitRematchRound(ep.epoch, round, "full", wireChurn{
 					Joined: sessionIDs(joined), Departed: departed,
 				})
 				s.Metrics.Counter("rematch.fulls").Inc()
 			}
-			if s.Shards > 1 {
-				alpha := 0.0
-				if s.AuditStability {
-					alpha = s.StabilityAlpha
-				}
-				mk := &shard.Market{
-					Shards:              s.Shards,
-					RefinementBudget:    s.RefinementBudget,
-					Policy:              s.Policy,
-					Alpha:               alpha,
-					Workers:             s.Workers,
-					Seed:                s.rng.Int63(),
-					Epoch:               epoch,
-					IDs:                 ids,
-					SkipRecommendations: true,
-					Tel:                 &telemetry.Telemetry{Metrics: s.Metrics, Events: s.Events},
-					Span:                s.curSpan,
-				}
-				res, err := mk.Clear(context.Background(), jobs, jobIdx, s.Penalties)
-				if err != nil {
-					return Message{}, err
-				}
-				match, shardOf = res.Match, res.ShardOf
-			} else {
-				pop := workload.Population{Jobs: jobs, Mix: "registered"}
-				d, err := profiler.ExpandToAgents(s.Penalties, s.Catalog, pop)
-				if err != nil {
-					return Message{}, err
-				}
-				match, err = s.Policy.Assign(d, policy.Context{
-					BandwidthGBps: bw,
-					Rand:          s.rng,
-					Metrics:       s.Metrics,
-				})
-				if err != nil {
-					return Message{}, err
-				}
-				shardOf = nil
+			out, err = market.Clear(context.Background(), cfg, s.marketRun(ep.epoch), pop, s.Penalties, false)
+			if err != nil {
+				return Message{}, err
 			}
 			baseN, churn = n, 0
-			pushSet = make([]int, n)
-			for i := range pushSet {
-				pushSet[i] = i
-			}
+			pushSet = everyone(n)
 		} else {
 			// Map the standing matching into this round's index space.
 			// Joiners and agents displaced by departures are dirty: their
 			// assignments must be recomputed.
 			idxOf := make(map[int]int, n)
-			for i, id := range ids {
+			for i, id := range pop.IDs {
 				idxOf[id] = i
 			}
 			gone := make(map[int]bool, len(departed))
@@ -189,38 +117,15 @@ func (s *Server) runEpochStream(epoch int) (Message, error) {
 					prev[i] = idxOf[pid]
 				}
 			}
-			topK := rematch.TopKOrDefault(s.RematchTopK)
-			var nbhd, changed []int
-			if s.Shards > 1 {
-				mk := &shard.Market{
-					Shards:  s.Shards,
-					Policy:  s.Policy,
-					Workers: s.Workers,
-					Seed:    s.rng.Int63(),
-					Epoch:   epoch,
-					IDs:     ids,
-					Tel:     &telemetry.Telemetry{Metrics: s.Metrics, Events: s.Events},
-					Span:    s.curSpan,
-				}
-				res, err := mk.Repair(context.Background(), jobs, jobIdx, s.Penalties, prev, dirty, topK)
-				if err != nil {
-					return Message{}, err
-				}
-				match, shardOf = res.Match, res.ShardOf
-				nbhd, changed = res.Neighborhood, res.Changed
-			} else {
-				nbhd = rematch.Neighborhood(dirty, nil, prev, pen, topK)
-				match, changed, err = rematch.Rewire(nbhd, prev, pen, bw, s.Policy, s.rng, s.Metrics)
-				if err != nil {
-					return Message{}, err
-				}
-				shardOf = nil
+			out, err = market.Repair(context.Background(), cfg, s.marketRun(ep.epoch), pop, s.Penalties, prev, dirty)
+			if err != nil {
+				return Message{}, err
 			}
-			nbhdIDs := make([]int, len(nbhd))
-			for k, i := range nbhd {
-				nbhdIDs[k] = ids[i]
+			nbhdIDs := make([]int, len(out.Neighborhood))
+			for k, i := range out.Neighborhood {
+				nbhdIDs[k] = pop.IDs[i]
 			}
-			s.emitRematchRound(epoch, round, "repair", wireChurn{
+			s.emitRematchRound(ep.epoch, round, "repair", wireChurn{
 				Joined: sessionIDs(joined), Departed: departed, Neighborhood: nbhdIDs,
 			})
 			s.Metrics.Counter("rematch.repairs").Inc()
@@ -228,8 +133,8 @@ func (s *Server) runEpochStream(epoch int) (Message, error) {
 			// plus every dirty agent — a joiner or displaced survivor the
 			// repair left solo still needs its assignment (and the auditor
 			// its explicit agent_unpaired record).
-			pushMask := make(map[int]bool, len(changed)+len(dirty))
-			for _, i := range changed {
+			pushMask := make(map[int]bool, len(out.Changed)+len(dirty))
+			for _, i := range out.Changed {
 				pushMask[i] = true
 			}
 			for _, i := range dirty {
@@ -241,50 +146,11 @@ func (s *Server) runEpochStream(epoch int) (Message, error) {
 			}
 			sort.Ints(pushSet)
 		}
+		match := out.Match
 
-		// Push assignments to this round's recipients and collect their
-		// assessments; agents outside the push set keep their standing
-		// assignment and owe nothing.
-		s.seq++
-		deadWrite := make(map[*session]bool)
-		var dead []*session
-		for _, i := range pushSet {
-			sess := s.sessions[i]
-			msg := Message{Type: "assignment", Seq: s.seq, PartnerID: -1}
-			if shardOf != nil {
-				msg.Shard = shardOf[i]
-			}
-			if match[i] != matching.Unmatched {
-				partner := s.sessions[match[i]]
-				msg.PartnerID = partner.id
-				msg.PartnerJob = partner.job.Name
-				msg.PredictedPenalty = pen(i, match[i])
-				if i < match[i] {
-					s.record(telemetry.Event{Type: telemetry.EventPairMatched,
-						Epoch: epoch, Agent: sess.id, Partner: partner.id,
-						Job: sess.job.Name, Predicted: pen(i, match[i])})
-				}
-			} else {
-				s.record(telemetry.Event{Type: telemetry.EventAgentUnpaired,
-					Epoch: epoch, Agent: sess.id, Partner: -1, Job: sess.job.Name})
-			}
-			if err := s.send(sess, msg); err != nil {
-				dead = append(dead, sess)
-				deadWrite[sess] = true
-			}
-		}
-		for _, i := range pushSet {
-			sess := s.sessions[i]
-			if deadWrite[sess] {
-				continue
-			}
-			assess, err := s.recvAssess(sess, epochDeadline)
-			if err != nil {
-				dead = append(dead, sess)
-				continue
-			}
-			breakAway[sess.id] = assess.Action == "break-away"
-		}
+		// Agents outside the push set keep their standing assignment and
+		// owe nothing.
+		dead := s.pushCollect(ep, pushSet, match, out.ShardOf, pen)
 
 		// Record the round's matching by wire ID before churn reshuffles
 		// the index space; it is the next repair's baseline.
@@ -301,79 +167,22 @@ func (s *Server) runEpochStream(epoch int) (Message, error) {
 		// the rematch_round that declares them departed) and admit every
 		// registration queued while the round ran.
 		departed = nil
-		if len(dead) > 0 {
-			seen := make(map[int]bool, len(dead))
-			for _, sess := range dead {
-				if !seen[sess.id] {
-					seen[sess.id] = true
-					departed = append(departed, sess.id)
-				}
+		seen := make(map[int]bool, len(dead))
+		for _, sess := range dead {
+			if !seen[sess.id] {
+				seen[sess.id] = true
+				departed = append(departed, sess.id)
 			}
-			s.reap(dead, epoch)
-			degraded = true
 		}
-		joined = s.admitPending(epoch)
+		s.reapDegraded(ep, dead)
+		joined = s.admitPending(ep.epoch)
 		if len(departed) == 0 && len(joined) == 0 {
-			break
+			return s.closeEpoch(ep, match, pen), nil
 		}
 		churn += len(departed) + len(joined)
 		s.Metrics.Counter("rematch.joined").Add(int64(len(joined)))
 		s.Metrics.Counter("rematch.departed").Add(int64(len(departed)))
-		round++
 	}
-
-	// The population is stable; account and broadcast the summary. The
-	// mean penalty sums in session order over the job-level matrix, which
-	// is the association auditors replay bit for bit.
-	live := s.sessions
-	var meanPenalty float64
-	for i := range live {
-		if match[i] != matching.Unmatched {
-			meanPenalty += pen(i, match[i])
-		}
-	}
-	meanPenalty /= float64(len(live))
-	breakAways := 0
-	for _, sess := range live {
-		if breakAway[sess.id] {
-			breakAways++
-		}
-	}
-	summary := Message{
-		Type:          "summary",
-		PartnerID:     -1,
-		MeanPenalty:   meanPenalty,
-		BreakAways:    breakAways,
-		Participating: len(live) - breakAways,
-	}
-	var dead []*session
-	for _, sess := range live {
-		if err := s.send(sess, summary); err != nil {
-			dead = append(dead, sess)
-		}
-	}
-	if len(dead) > 0 {
-		s.reap(dead, epoch)
-		degraded = true
-	}
-	if s.Metrics != nil {
-		s.Metrics.Counter("epoch.count").Inc()
-		s.Metrics.Counter("epoch.agents").Add(int64(len(live)))
-		s.Metrics.Counter("epoch.breakaways").Add(int64(breakAways))
-		s.Metrics.Counter("epoch.participating").Add(int64(summary.Participating))
-		s.Metrics.Gauge("epoch.mean_penalty").Set(meanPenalty)
-		h := s.Metrics.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
-		for i := range live {
-			if match[i] != matching.Unmatched {
-				h.Observe(pen(i, match[i]))
-			} else {
-				h.Observe(0)
-			}
-		}
-	}
-	s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
-		Epoch: epoch, Agent: -1, Partner: -1, Value: meanPenalty})
-	return summary, nil
 }
 
 // sessionIDs lists the sessions' wire AgentIDs in order.

@@ -489,9 +489,17 @@ func ExpandToAgents(jobD [][]float64, jobs []workload.Job, pop workload.Populati
 		}
 		rows[a] = i
 	}
+	return ExpandRows(jobD, rows), nil
+}
+
+// ExpandRows is ExpandToAgents for a population already resolved to
+// matrix rows: agent a runs the job of row rows[a], which must index
+// jobD.
+func ExpandRows(jobD [][]float64, rows []int) [][]float64 {
+	n := len(rows)
 	// One expanded row per catalog job actually present in the population:
 	// expanded[r][b] = jobD[r][rows[b]].
-	expanded := make([][]float64, len(jobs))
+	expanded := make([][]float64, len(jobD))
 	for _, r := range rows {
 		if expanded[r] != nil {
 			continue
@@ -510,7 +518,7 @@ func ExpandToAgents(jobD [][]float64, jobs []workload.Job, pop workload.Populati
 		copy(d[a], expanded[rows[a]])
 		d[a][a] = 0
 	}
-	return d, nil
+	return d
 }
 
 // SortedJobNames returns the distinct job names in the database, sorted —

@@ -10,9 +10,9 @@
 //     epoch's Apply emits a Delta — the new population, the prior
 //     matching mapped into its index space, and the dirty set (arrivals
 //     plus partners displaced by departures).
-//   - Repair re-runs proposals only inside the affected neighborhood:
-//     the dirty agents, their top-K preference candidates from the
-//     predicted penalty matrix, and the current partners of those
+//   - Neighborhood and Rewire re-run proposals only inside the affected
+//     neighborhood: the dirty agents, their top-K preference candidates
+//     from the predicted penalty matrix, and the current partners of those
 //     candidates (so rewiring a candidate never silently strands an
 //     agent outside the neighborhood). Pairs wholly outside the
 //     neighborhood are untouched, which is what makes repair cheap: the
@@ -28,7 +28,8 @@
 // fraction of the population (DefaultChurnThreshold), the caller falls
 // back to a full re-match and reseeds the ledger — repair quality decays
 // as the matching drifts from the policy's global solution, and the
-// threshold bounds that drift.
+// threshold bounds that drift. The market engine (internal/market) runs
+// both the repair and the full re-match, sharded or not.
 package rematch
 
 import (
@@ -55,14 +56,6 @@ const (
 	DefaultRecommendCap = 8
 )
 
-// TopKOrDefault resolves a TopK knob (<= 0 means DefaultTopK).
-func TopKOrDefault(k int) int {
-	if k <= 0 {
-		return DefaultTopK
-	}
-	return k
-}
-
 // ThresholdOrDefault resolves a churn-threshold knob (<= 0 means
 // DefaultChurnThreshold).
 func ThresholdOrDefault(t float64) float64 {
@@ -80,9 +73,12 @@ func ThresholdOrDefault(t float64) float64 {
 // shard's member list); a member whose prev partner falls outside the
 // pool is ineligible as a candidate, so the result is always closed
 // under prev partnership within the pool. The returned indices are
-// ascending and the dirty agents are always included.
+// ascending and the dirty agents are always included. topK <= 0 means
+// DefaultTopK.
 func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i, j int) float64, topK int) []int {
-	topK = TopKOrDefault(topK)
+	if topK <= 0 {
+		topK = DefaultTopK
+	}
 	if members == nil {
 		members = make([]int, len(prev))
 		for i := range members {
@@ -203,45 +199,4 @@ func Rewire(nbhd []int, prev matching.Matching, pen func(i, j int) float64, bw [
 		}
 	}
 	return match, changed, nil
-}
-
-// Result is the outcome of one incremental repair.
-type Result struct {
-	// Match is the full repaired matching over the delta's population.
-	Match matching.Matching
-	// Neighborhood lists the agents whose proposals were re-run,
-	// ascending.
-	Neighborhood []int
-	// Changed lists the agents whose partner differs from the prior
-	// matching, ascending.
-	Changed []int
-}
-
-// Repairer repairs a prior stable matching around a churn delta in a
-// single (unsharded) market.
-type Repairer struct {
-	// Policy re-matches the neighborhood; required.
-	Policy policy.Policy
-	// TopK bounds each dirty agent's candidate pull (<= 0 means
-	// DefaultTopK).
-	TopK int
-	// Rand drives the policy's randomness (SMR partitions).
-	Rand *rand.Rand
-	// Metrics, when non-nil, receives the policy's matching counters.
-	Metrics *telemetry.Registry
-}
-
-// Repair computes the delta's neighborhood and rewires it. pen(i, j) is
-// the predicted penalty of colocating delta agents i and j; bw[i] is
-// agent i's standalone bandwidth.
-func (r *Repairer) Repair(d *Delta, pen func(i, j int) float64, bw []float64) (*Result, error) {
-	if r.Policy == nil {
-		return nil, fmt.Errorf("rematch: repairer needs a policy")
-	}
-	nbhd := Neighborhood(d.Dirty, nil, d.Prev, pen, r.TopK)
-	match, changed, err := Rewire(nbhd, d.Prev, pen, bw, r.Policy, r.Rand, r.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Match: match, Neighborhood: nbhd, Changed: changed}, nil
 }

@@ -240,71 +240,6 @@ func TestRewirePreservesOutsidePairs(t *testing.T) {
 	}
 }
 
-func TestRepairerEndToEnd(t *testing.T) {
-	matrix := testMatrix(4)
-	var l Ledger
-	jobs := make([]int, 40)
-	for i := range jobs {
-		jobs[i] = i % 4
-	}
-	d, err := l.Apply(jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobIdx := make([]int, len(d.Agents))
-	bw := make([]float64, len(d.Agents))
-	for i, a := range d.Agents {
-		jobIdx[i] = a.Job
-		bw[i] = float64(a.Job + 1)
-	}
-	pen := penFor(jobIdx, matrix)
-	full, _, err := Rewire(nbhdAll(len(d.Agents)), d.Prev, pen, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(full, true); err != nil {
-		t.Fatal(err)
-	}
-
-	// One departure, one join: repair the standing matching.
-	d, err = l.Apply([]int{2}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobIdx = jobIdx[:0]
-	bw = bw[:0]
-	for _, a := range d.Agents {
-		jobIdx = append(jobIdx, a.Job)
-		bw = append(bw, float64(a.Job+1))
-	}
-	pen = penFor(jobIdx, matrix)
-	rp := &Repairer{Policy: policy.Greedy{}, TopK: 4, Rand: rand.New(rand.NewSource(7))}
-	res, err := rp.Repair(d, pen, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Match.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	inN := make(map[int]bool)
-	for _, i := range res.Neighborhood {
-		inN[i] = true
-	}
-	for i := range res.Match {
-		if !inN[i] && res.Match[i] != d.Prev[i] {
-			t.Fatalf("agent %d outside neighborhood changed partner %d -> %d",
-				i, d.Prev[i], res.Match[i])
-		}
-	}
-	if len(res.Neighborhood) >= len(d.Agents) {
-		t.Fatalf("neighborhood %d not smaller than population %d",
-			len(res.Neighborhood), len(d.Agents))
-	}
-	if err := l.Commit(res.Match, false); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func nbhdAll(n int) []int {
 	all := make([]int, n)
 	for i := range all {

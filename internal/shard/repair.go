@@ -79,14 +79,16 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 	// Shard-local repairs in parallel: each shard computes its restricted
 	// neighborhood and re-matches it over the sub-matrix with a private
 	// SplitSeed RNG stream; results land in per-shard slots so the merge
-	// below is independent of scheduling.
+	// below is independent of scheduling. Spans are keyed by shard index,
+	// as in Clear, so their IDs do not depend on which worker opened
+	// them first.
 	nbhds := make([][]int, shards)
 	local := make([]matching.Matching, shards)
 	err := parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
 		if len(dirtyIn[s]) == 0 {
 			return nil
 		}
-		sp := m.Tel.Phase(m.Span, "repair-shard")
+		sp := m.Tel.PhaseKeyed(m.Span, "repair-shard", int64(s))
 		sp.SetAttr("shard", s)
 		sp.SetAttr("dirty", len(dirtyIn[s]))
 		defer m.Tel.End(sp)

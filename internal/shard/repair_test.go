@@ -7,6 +7,7 @@ import (
 
 	"cooper/internal/matching"
 	"cooper/internal/policy"
+	"cooper/internal/telemetry"
 )
 
 // repairFixture clears a sharded market, then invalidates a few agents
@@ -194,5 +195,64 @@ func TestRepairValidation(t *testing.T) {
 	bad := &Market{Shards: 2, Seed: 1}
 	if _, err := bad.Repair(ctx, jobs, jobIdx, matrix, res.Match, nil, 4); err == nil {
 		t.Fatal("policy-less market accepted")
+	}
+}
+
+// TestRepairShardSpansKeyed: each repair-shard span takes its ID from its
+// shard index, not from the order the worker pool happened to open the
+// spans in, so same-seed repairs produce the same span layout at any
+// worker count.
+func TestRepairShardSpansKeyed(t *testing.T) {
+	const n = 2000
+	jobs, jobIdx := testJobs(n, "a", "b", "c", "d")
+	matrix := testMatrix(4)
+	mk := &Market{Shards: 16, Workers: 8, Policy: policy.Greedy{}, Seed: 7, SkipRecommendations: true}
+	res, err := mk.Clear(context.Background(), jobs, jobIdx, matrix)
+	if err != nil {
+		t.Fatalf("clear: %v", err)
+	}
+	prev := append(matching.Matching(nil), res.Match...)
+	isDirty := make(map[int]bool)
+	for i := 0; i < n; i += 37 {
+		if p := prev[i]; p != matching.Unmatched {
+			prev[p] = matching.Unmatched
+			isDirty[p] = true
+		}
+		prev[i] = matching.Unmatched
+		isDirty[i] = true
+	}
+	var dirty []int
+	for i := 0; i < n; i++ {
+		if isDirty[i] {
+			dirty = append(dirty, i)
+		}
+	}
+
+	tel := telemetry.NewSeeded(3)
+	mk.Tel = tel
+	mk.Span = tel.Phase(nil, "match")
+	if _, err := mk.Repair(context.Background(), jobs, jobIdx, matrix, prev, dirty, 8); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	// A parent with the same identity yields the IDs keyed spans must have.
+	ref := telemetry.NewSeeded(3).Phase(nil, "match")
+	spans := 0
+	for _, c := range mk.Span.Snapshot().Children {
+		if c.Name != "repair-shard" {
+			continue
+		}
+		spans++
+		s := -1
+		for _, a := range c.Attrs {
+			if a.Key == "shard" {
+				s = a.Value.(int)
+			}
+		}
+		if want := ref.ChildKeyed("repair-shard", int64(s)).ID().String(); c.Span != want {
+			t.Errorf("shard %d repair span ID = %s, want keyed ID %s", s, c.Span, want)
+		}
+	}
+	if spans < 2 {
+		t.Fatalf("%d repair-shard spans; the test needs several shards repairing at once", spans)
 	}
 }

@@ -34,21 +34,21 @@ func Trace(w io.Writer, opts Options) error {
 		defer f.Close()
 		tel.Events.SetSink(f)
 	}
-	copts := core.Options{
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		Telemetry: tel,
+	cfg := core.Config{
+		Seed:     opts.Seed,
+		Pipeline: core.PipelineConfig{Workers: opts.Workers},
+		Observe:  core.ObserveConfig{Telemetry: tel},
 	}
 	if opts.Approx.Bits > 0 {
-		copts.Predictor = recommend.Default()
-		copts.Predictor.Approx = opts.Approx
+		cfg.Pipeline.Predictor = recommend.Default()
+		cfg.Pipeline.Predictor.Approx = opts.Approx
 	}
-	fw, err := core.New(copts)
+	fw, err := core.NewFramework(cfg)
 	if err != nil {
 		return err
 	}
 	if opts.Approx.Bits > 0 {
-		fmt.Fprintf(w, "prediction kernel: %s\n\n", copts.Predictor.KernelName())
+		fmt.Fprintf(w, "prediction kernel: %s\n\n", cfg.Pipeline.Predictor.KernelName())
 	}
 	epochs := opts.Epochs
 	if epochs <= 0 {

@@ -1,89 +1,6 @@
 package cooper
 
-import (
-	"reflect"
-	"testing"
-	"time"
-)
-
-// The legacy flat Options and the functional options must describe
-// identical frameworks: same reports, bit for bit.
-func TestOptionsEquivalence(t *testing.T) {
-	legacy, err := NewWithOptions(Options{
-		Policy: SR(), Oracle: true, Alpha: 0.01, Seed: 42, Workers: 2, Machines: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := New(
-		WithPolicy(SR()),
-		WithOracle(),
-		WithAlpha(0.01),
-		WithSeed(42),
-		WithWorkers(2),
-		WithMachines(12),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	popA := legacy.SamplePopulation(60, Uniform())
-	popB := modern.SamplePopulation(60, Uniform())
-	if !reflect.DeepEqual(popA, popB) {
-		t.Fatal("legacy and functional frameworks sampled different populations")
-	}
-	repA, err := legacy.RunEpoch(popA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repB, err := modern.RunEpoch(popB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repA, repB) {
-		t.Fatal("legacy and functional frameworks produced different epoch reports")
-	}
-}
-
-// Options.Config must carry every legacy field into the grouped Config.
-func TestOptionsConfigConversion(t *testing.T) {
-	pred := DefaultPredictor()
-	pen := [][]float64{{0}}
-	tel := NewTelemetry()
-	o := Options{
-		Machine:        DefaultCMP(),
-		Machines:       7,
-		Policy:         SMP(),
-		SampleFraction: 0.5,
-		Predictor:      pred,
-		Alpha:          0.03,
-		Oracle:         true,
-		Seed:           99,
-		Penalties:      pen,
-		Workers:        3,
-		Telemetry:      tel,
-		EpochTimeout:   2 * time.Second,
-	}
-	c := o.Config()
-	if c.Machines != 7 || c.Seed != 99 {
-		t.Fatalf("top level lost: %+v", c)
-	}
-	if c.Market.Policy.Name() != "SMP" || c.Market.Alpha != 0.03 {
-		t.Fatalf("market lost: %+v", c.Market)
-	}
-	if c.Market.Shards != 0 || c.Market.RefinementBudget != 0 {
-		t.Fatalf("legacy options must not shard: %+v", c.Market)
-	}
-	p := c.Pipeline
-	if p.Workers != 3 || p.SampleFraction != 0.5 || !p.Oracle ||
-		p.EpochTimeout != 2*time.Second || !reflect.DeepEqual(p.Penalties, pen) ||
-		!reflect.DeepEqual(p.Predictor, pred) {
-		t.Fatalf("pipeline lost: %+v", p)
-	}
-	if c.Observe.Telemetry != tel {
-		t.Fatalf("observe lost: %+v", c.Observe)
-	}
-}
+import "testing"
 
 // WithApproxPredictor sets only the Approx knob (composing with
 // WithPredictor), resolves bits <= 0 to the tuned default geometry, and
